@@ -234,12 +234,20 @@ def certificate_from_obj(obj) -> Certificate:
     if "eps" not in obj or "moves" not in obj:
         raise DomainError("certificate needs fields 'eps' and 'moves'")
     eps = as_sign_vector(obj["eps"])
-    if "n" in obj and obj["n"] != len(eps):
-        raise DimensionError(
-            f"certificate says n={obj['n']} but eps has length {len(eps)}"
+    if "n" in obj:
+        n = obj["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DomainError(f"certificate field 'n' must be an integer, got {n!r}")
+        if n != len(eps):
+            raise DimensionError(
+                f"certificate says n={n} but eps has length {len(eps)}"
+            )
+    raw_moves = obj["moves"]
+    if not isinstance(raw_moves, list):
+        raise DomainError(
+            f"certificate field 'moves' must be a list, got {type(raw_moves).__name__}"
         )
-    moves = tuple(Move.from_obj(m) for m in obj["moves"])
-    return Certificate(eps, moves)
+    return Certificate(eps, tuple(Move.from_obj(m) for m in raw_moves))
 
 
 def certificate_from_json(text: str) -> Certificate:

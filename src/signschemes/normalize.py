@@ -15,7 +15,16 @@ column k's wrong entries:
         move also corrects the wrong '+' at (top,k), which the counting
         identities guarantee is present.
   * Finally add a Point move for every wrong '+' still left in the
-    working column, bottom row first.
+    working column, top row first.
+
+Neither lookup scans. The scan pushes each wrong '+' row it passes onto
+a stack, so the nearest unpaired one below the current row is on top.
+Each row i keeps a stack of the moves ending at it, pushed as they are
+created, so the top has the largest j. A row needs a stack, not a
+single "latest move" slot: widening removes the top move from the row's
+candidates, and the move beneath it is the target the next time row i
+needs widening. Each column therefore costs O(k), and the whole build
+O(n^2), the size of the scheme.
 
 Each flip turns a wrong entry into a correct one and no position is
 touched twice, so the touched sets are disjoint and cover exactly the
@@ -30,7 +39,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import AlgorithmInvariantError, DimensionError
-from .moves import POINT, VERTICAL, Certificate, Move
+from .moves import POINT, Certificate, Move
 from .schemes import (
     MINUS,
     PLUS,
@@ -74,15 +83,16 @@ def _column_of(eps, k: int) -> list[int]:
 
 
 def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
-    eps = as_sign_vector(eps)
     n = len(eps)
     moves: list[Move] = []
+    # ends[i]: indices into moves of the Point(i;j) and Vertical(.,i;j)
+    # moves, in creation order, so the top has the largest j
+    ends: list[list[int]] = [[] for _ in range(n + 1)]
 
     def emit(level, op, action, flipped, work):
-        if steps is not None:
-            steps.append(
-                TraceStep(level, op, action, tuple(flipped), tuple(work), tuple(moves))
-            )
+        steps.append(
+            TraceStep(level, op, action, tuple(flipped), tuple(work), tuple(moves))
+        )
 
     for k in range(1, n + 1):
         col = _column_of(eps, k)
@@ -91,80 +101,77 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
         for i in range(k, 0, -1):
             suffix[i] = suffix[i + 1] + col[i - 1]
         work = col[:]
+        ref = [reference_sign(i, k) for i in range(1, k + 1)]
+        # wrong '+' rows below the scanned row, the nearest one on top
+        wrong_plus: list[int] = []
 
         for i in range(k, 0, -1):
-            if work[i - 1] != MINUS or reference_sign(i, k) == MINUS:
+            s = work[i - 1]
+            if s == ref[i - 1]:
+                continue
+            if s == PLUS:
+                wrong_plus.append(i)
                 continue
             below = suffix[i + 1]
             if below > 0:
-                i2 = next(
-                    (
-                        v
-                        for v in range(i + 1, k + 1)
-                        if work[v - 1] == PLUS and reference_sign(v, k) == MINUS
-                    ),
-                    None,
-                )
-                if i2 is None:
+                if not wrong_plus:
                     raise AlgorithmInvariantError(
                         f"no wrong '+' below row {i} in column {k} despite V > 0"
                     )
+                i2 = wrong_plus.pop()
                 mv = Move.vertical(i, i2, k)
+                ends[i2].append(len(moves))
                 moves.append(mv)
-                work[i - 1] = -work[i - 1]
-                work[i2 - 1] = -work[i2 - 1]
-                emit(k, OP_VERTICAL, f"add {mv}", ((i, k), (i2, k)), work)
+                work[i - 1] = PLUS
+                work[i2 - 1] = MINUS
+                if steps is not None:
+                    emit(k, OP_VERTICAL, f"add {mv}", ((i, k), (i2, k)), work)
             elif below < 0:
-                best = None
-                for idx, m in enumerate(moves):
-                    if m.j >= k:
-                        continue
-                    if (m.kind == POINT and m.i == i) or (
-                        m.kind == VERTICAL and m.i2 == i
-                    ):
-                        if best is None or m.j > moves[best].j:
-                            best = idx
-                if best is None:
+                if not ends[i]:
                     raise AlgorithmInvariantError(
                         f"no move to widen for row {i} in column {k} despite V < 0"
                     )
+                best = ends[i].pop()
                 old = moves[best]
                 if old.kind == POINT:
                     new = Move.horizontal(i, old.j, k)
                     moves[best] = new
-                    work[i - 1] = -work[i - 1]
+                    work[i - 1] = PLUS
                     flipped = ((i, k),)
                 else:
                     top = old.i
-                    if work[top - 1] != PLUS or reference_sign(top, k) != MINUS:
+                    if work[top - 1] != PLUS or ref[top - 1] != MINUS:
                         raise AlgorithmInvariantError(
                             f"fourth corner ({top}, {k}) is not a wrong '+' "
                             f"when widening {old}"
                         )
                     new = Move.square(top, i, old.j, k)
                     moves[best] = new
-                    work[i - 1] = -work[i - 1]
-                    work[top - 1] = -work[top - 1]
+                    work[i - 1] = PLUS
+                    work[top - 1] = MINUS
                     flipped = ((i, k), (top, k))
-                emit(k, OP_SUBSTITUTE, f"replace {old} with {new}", flipped, work)
+                if steps is not None:
+                    emit(k, OP_SUBSTITUTE, f"replace {old} with {new}", flipped, work)
             else:
                 raise AlgorithmInvariantError(
                     f"V = 0 at wrong '-' ({i}, {k}); the column sum must be odd"
                 )
 
-        for i in range(1, k + 1):
-            if work[i - 1] == PLUS and reference_sign(i, k) == MINUS:
-                mv = Move.point(i, k)
-                moves.append(mv)
-                work[i - 1] = -work[i - 1]
+        for i in reversed(wrong_plus):
+            mv = Move.point(i, k)
+            ends[i].append(len(moves))
+            moves.append(mv)
+            work[i - 1] = MINUS
+            if steps is not None:
                 emit(k, OP_POINT, f"add {mv}", ((i, k),), work)
 
         for i in range(1, k + 1):
-            if work[i - 1] != reference_sign(i, k):
+            if work[i - 1] != ref[i - 1]:
                 raise AlgorithmInvariantError(
                     f"column {k} not repaired at row {i} after processing"
                 )
-        emit(k, OP_LEVEL, f"column {k} complete", (), work)
+        if steps is not None:
+            emit(k, OP_LEVEL, f"column {k} complete", (), work)
 
     return moves
 
@@ -175,6 +182,9 @@ def build_certificate(eps) -> Certificate:
     The order is deterministic: earlier-column moves keep their positions
     when widened in place, each column's Vertical moves follow in scan
     order (bottom to top), and its Point moves come last, top to bottom.
+    Runs in O(n^2): the widening target and the pairing partner come off
+    per-row and per-column stacks (see the module docstring), and no
+    trace text is formatted.
     """
     eps = as_sign_vector(eps)
     return Certificate(eps, tuple(_build(eps, None)))

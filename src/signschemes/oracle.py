@@ -99,6 +99,8 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     raises BoundViolationError; that cannot happen unless an evaluator
     is broken.
     """
+    if budget < 0:
+        raise DomainError(f"budget must be nonnegative, got {budget}")
     bound = qmax_bound(n)
     candidates = candidate_maximizers(n)
     for cand in candidates:
@@ -180,8 +182,8 @@ def grid_max(n: int, step: float) -> MaxReport:
     """
     if n < 1:
         raise DomainError(f"dimension must be positive, got {n}")
-    if step <= 0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not math.isfinite(step) or step <= 0:
+        raise DomainError(f"step must be positive and finite, got {step}")
     m = round(1.0 / step)
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1 evenly")

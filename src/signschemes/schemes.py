@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator, NamedTuple
 
 from .errors import DimensionError, DomainError, TriangleIndexError
@@ -36,14 +37,22 @@ def sign_char(s: int) -> str:
 
 
 def as_sign_vector(values) -> tuple[int, ...]:
-    """Validate and freeze a sequence of +1/-1 entries."""
+    """Validate and freeze a sequence of +1/-1 entries as plain ints.
+
+    Entries must be integers; bools and floats are rejected even where
+    they compare equal to +1 or -1.
+    """
     eps = tuple(values)
     if not eps:
         raise DimensionError("sign vector must be non-empty")
+    plain = True
     for v in eps:
-        if v not in (PLUS, MINUS):
+        if type(v) is int and v in (PLUS, MINUS):
+            continue
+        if isinstance(v, bool) or not isinstance(v, Integral) or v not in (PLUS, MINUS):
             raise DomainError(f"sign vector entries must be +1 or -1, got {v!r}")
-    return eps
+        plain = False
+    return eps if plain else tuple(map(int, eps))
 
 
 def parse_signs(text: str) -> tuple[int, ...]:

@@ -187,6 +187,14 @@ def test_certificate_obj_errors():
         certificate_from_obj({"eps": [1], "moves": [{"kind": "P", "i": True, "j": 1}]})
     with pytest.raises(DomainError):
         certificate_from_obj({"eps": [1], "moves": [{"kind": "Q", "i": 1, "j": 1}]})
+    with pytest.raises(DomainError):
+        certificate_from_obj({"eps": [1], "moves": 5})
+    with pytest.raises(DomainError):
+        certificate_from_obj({"n": True, "eps": [1], "moves": []})
+    with pytest.raises(DomainError):
+        certificate_from_json('{"eps":[true],"moves":[]}')
+    with pytest.raises(DomainError):
+        certificate_from_json('{"eps":[1.0,-1],"moves":[]}')
 
 
 def test_certificate_requires_moves():

@@ -63,6 +63,11 @@ def test_verify_bound_small_dims():
     assert rep.best_value == 2.0
 
 
+def test_verify_bound_rejects_negative_budget():
+    with pytest.raises(DomainError):
+        verify_bound(2, budget=-5)
+
+
 def test_verify_bound_is_deterministic():
     a = verify_bound(3, budget=5_000, seed=11)
     b = verify_bound(3, budget=5_000, seed=11)
@@ -100,6 +105,11 @@ def test_grid_max_validates_step():
         grid_max(2, 0.0)
     with pytest.raises(DomainError):
         grid_max(2, -0.5)
+
+
+def test_grid_max_rejects_nan_step():
+    with pytest.raises(DomainError):
+        grid_max(2, float("nan"))
 
 
 def test_grid_max_cost_guards():

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,12 +71,20 @@ def test_generate_rejects_empty():
 
 
 def test_generate_rejects_non_sign_entries():
-    with pytest.raises(DomainError):
-        generate_scheme((1, 2))
+    # True == 1 and 1.0 == 1, but neither is a sign
+    for eps in ((1, 2), (True, -1), (1, False), (1.0, -1), (1, -1.0), (1, "1")):
+        with pytest.raises(DomainError):
+            generate_scheme(eps)
+        with pytest.raises(DomainError):
+            as_sign_vector(list(eps))
 
 
 def test_as_sign_vector_freezes():
     assert as_sign_vector([1, -1]) == (1, -1)
+    # integral entries of other types are stored as plain ints
+    frozen = as_sign_vector(np.array([1, -1, -1]))
+    assert frozen == (1, -1, -1)
+    assert all(type(v) is int for v in frozen)
 
 
 def test_scheme_shape_validation():
