@@ -15,6 +15,13 @@ Substituting x_i = y_i / y_{i+1} turns the first into the second (one
 dimension lower); splitting x into signs and magnitudes turns the second
 into the third. All evaluators support double-precision floats (default)
 and exact rationals (exact=True); integer inputs stay exact in both modes.
+
+The cube and scheme products share one scalar and one batch kernel, each
+taking the sign triangle (None: +1 everywhere) and sharing no code with
+the other, so each checks the other. The batch kernel runs on blocks of
+CHUNK rows, transposed to contiguous columns and updated in place. It is
+bit-identical to a row-by-row loop: the same factors in the same order,
+with 1 - s*p written as 1 - p or 1 + p, the same IEEE operation.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ FACTOR_TOL = 1e-12
 PRODUCT_TOL = 1e-9
 
 _EDGE_SLACK = 1e-15
+CHUNK = 8192  # rows per block of the batch kernel
 
 
 def _coords(point, exact: bool) -> tuple:
@@ -57,13 +65,9 @@ def _check_z(coords) -> None:
 def _check_y(coords) -> None:
     prev = 0
     for c in coords:
-        if c == 0:
-            raise DomainError("ratio-product input must have no zero entries")
         mag = abs(c)
-        if mag <= prev:
-            raise DomainError(
-                "ratio-product input needs strictly increasing magnitudes"
-            )
+        if not prev < mag < np.inf:
+            raise DomainError("ratio-product input needs 0 < |y_1| < ... < |y_n| < inf")
         prev = mag
 
 
@@ -91,10 +95,8 @@ def change_of_variables(y) -> tuple:
     return tuple(coords[i] / coords[i + 1] for i in range(len(coords) - 1))
 
 
-def eval_q(x, exact: bool = False):
-    """The cube product prod_{i<=j} (1 - x_i x_{i+1} ... x_j) on [-1, 1]^n."""
-    coords = _coords(x, exact)
-    _check_x(coords)
+def _product(coords, rows, exact: bool):
+    """prod_{i<=j} (1 - C[i,j] c_i ... c_j), C[i,j] = rows[i-1][j-i] or +1."""
     n = len(coords)
     one = Fraction(1) if exact else 1
     total = one
@@ -102,18 +104,30 @@ def eval_q(x, exact: bool = False):
         prod = one
         for j in range(i, n):
             prod *= coords[j]
-            total *= 1 - prod
+            total *= 1 - (prod if rows is None else rows[i][j - i] * prod)
     return total if exact else float(total)
 
 
-def eval_factor(scheme: Scheme, z, i: int, j: int, exact: bool = False):
-    """The single factor 1 - C[i,j] * z_i * ... * z_j."""
+def _scheme_coords(scheme: Scheme, z, exact: bool) -> tuple:
     coords = _coords(z, exact)
     _check_z(coords)
     if len(coords) != scheme.n:
         raise DimensionError(
             f"point has dimension {len(coords)}, scheme has {scheme.n}"
         )
+    return coords
+
+
+def eval_q(x, exact: bool = False):
+    """The cube product prod_{i<=j} (1 - x_i x_{i+1} ... x_j) on [-1, 1]^n."""
+    coords = _coords(x, exact)
+    _check_x(coords)
+    return _product(coords, None, exact)
+
+
+def eval_factor(scheme: Scheme, z, i: int, j: int, exact: bool = False):
+    """The single factor 1 - C[i,j] * z_i * ... * z_j."""
+    coords = _scheme_coords(scheme, z, exact)
     s = scheme.sign(i, j)
     prod = Fraction(1) if exact else 1
     for k in range(i - 1, j):
@@ -124,22 +138,7 @@ def eval_factor(scheme: Scheme, z, i: int, j: int, exact: bool = False):
 
 def eval_f(scheme: Scheme, z, exact: bool = False):
     """The scheme product prod_{i<=j} (1 - C[i,j] z_i ... z_j) on [0, 1]^n."""
-    coords = _coords(z, exact)
-    _check_z(coords)
-    if len(coords) != scheme.n:
-        raise DimensionError(
-            f"point has dimension {len(coords)}, scheme has {scheme.n}"
-        )
-    n = scheme.n
-    one = Fraction(1) if exact else 1
-    total = one
-    for i in range(n):
-        row = scheme.rows[i]
-        prod = one
-        for j in range(i, n):
-            prod *= coords[j]
-            total *= 1 - row[j - i] * prod
-    return total if exact else float(total)
+    return _product(_scheme_coords(scheme, z, exact), scheme.rows, exact)
 
 
 def chamber_of(x) -> tuple[tuple[int, ...], tuple]:
@@ -158,46 +157,45 @@ def chamber_of(x) -> tuple[tuple[int, ...], tuple]:
     return eps, z
 
 
-def eval_q_batch(X) -> np.ndarray:
-    """Cube product for every row of an (m, n) float array.
+def _product_batch(X: np.ndarray, rows) -> np.ndarray:
+    """_product for every row of the (m, n) float array X."""
+    m, n = X.shape
+    out = np.ones(m)
+    factor = np.empty(min(m, CHUNK))
+    for s in range(0, m, CHUNK):
+        # A private copy: row i becomes the running product x_i ... x_j.
+        T = np.array(X[s : s + CHUNK].T, order="C")
+        total, f = out[s : s + T.shape[1]], factor[: T.shape[1]]
+        for i, p in enumerate(T):
+            for j in range(i, n):
+                if j > i:
+                    np.multiply(p, T[j], p)
+                if rows is None or rows[i][j - i] == PLUS:
+                    np.subtract(1.0, p, f)
+                else:
+                    np.add(1.0, p, f)
+                np.multiply(total, f, total)
+    return out
 
-    Vectorized counterpart of eval_q: one running product per start index,
-    O(n^2) vector operations. Agreement with the scalar evaluator is part
-    of the test suite; both are kept so each can check the other.
-    """
+
+def eval_q_batch(X) -> np.ndarray:
+    """Cube product for every row of an (m, n) float array in [-1, 1]^n."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0:
         raise DimensionError(f"expected a 2-d array of points, got shape {X.shape}")
-    if X.size and float(np.max(np.abs(X))) > 1 + _EDGE_SLACK:
-        raise DomainError("batch contains coordinates outside [-1, 1]")
-    m, n = X.shape
-    total = np.ones(m)
-    for i in range(n):
-        prod = np.ones(m)
-        for j in range(i, n):
-            prod = prod * X[:, j]
-            total = total * (1 - prod)
-    return total
+    if X.size and not (-1 - _EDGE_SLACK <= X.min() and X.max() <= 1 + _EDGE_SLACK):
+        raise DomainError("batch contains coordinates outside [-1, 1] or not finite")
+    return _product_batch(X, None)
 
 
 def eval_f_batch(scheme: Scheme, Z) -> np.ndarray:
     """Scheme product for every row of an (m, n) float array in [0,1]^n."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != scheme.n:
-        raise DimensionError(
-            f"expected shape (m, {scheme.n}), got {Z.shape}"
-        )
-    if Z.size and (float(Z.min()) < 0 or float(Z.max()) > 1 + _EDGE_SLACK):
-        raise DomainError("batch contains coordinates outside [0, 1]")
-    m, n = Z.shape
-    total = np.ones(m)
-    for i in range(n):
-        row = scheme.rows[i]
-        prod = np.ones(m)
-        for j in range(i, n):
-            prod = prod * Z[:, j]
-            total = total * (1 - row[j - i] * prod)
-    return total
+        raise DimensionError(f"expected shape (m, {scheme.n}), got {Z.shape}")
+    if Z.size and not (0 <= Z.min() and Z.max() <= 1 + _EDGE_SLACK):
+        raise DomainError("batch contains coordinates outside [0, 1] or not finite")
+    return _product_batch(Z, scheme.rows)
 
 
 # The four core inequalities on [0,1]. Each compares products of factors

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +47,27 @@ from .schemes import (
 
 _BATCH = 250_000
 _GRID_POINT_CAP = 40_000_000
+
+
+def _check_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+def _top(vals, X, limit, bound, where: str) -> tuple[int, float]:
+    """Index and value of the largest cube-product value in a batch.
+
+    A value above limit, or NaN (which np.argmax picks first), is a
+    violation, so a broken evaluator cannot pass by returning NaN.
+    """
+    idx = int(np.argmax(vals))
+    top = float(vals[idx])
+    if not top <= limit:
+        raise BoundViolationError(
+            f"{where} point {tuple(X[idx])} gives {top} > bound {bound}"
+        )
+    return idx, top
 
 
 def qmax_bound(n: int) -> int:
@@ -99,8 +121,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     raises BoundViolationError; that cannot happen unless an evaluator
     is broken.
     """
-    if budget < 0:
-        raise DomainError(f"budget must be nonnegative, got {budget}")
+    budget = _check_count("budget", budget)
     bound = qmax_bound(n)
     candidates = candidate_maximizers(n)
     for cand in candidates:
@@ -122,12 +143,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
         X = rng.uniform(-1.0, 1.0, size=(m, n))
         vals = eval_q_batch(X)
         evaluations += m
-        idx = int(np.argmax(vals))
-        top = float(vals[idx])
-        if top > limit:
-            raise BoundViolationError(
-                f"random point {tuple(X[idx])} gives {top} > bound {bound}"
-            )
+        idx, top = _top(vals, X, limit, bound, "random")
         if top > best_value:
             best_value, best_point, method = top, tuple(X[idx]), "random"
         remaining -= m
@@ -136,6 +152,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     starts = max(1, budget // (2 * rounds * n))
     P = rng.uniform(-1.0, 1.0, size=(starts, n))
     vals = eval_q_batch(P)
+    _top(vals, P, limit, bound, "ascent")
     evaluations += starts
     bracket = 1.0
     for _ in range(rounds):
@@ -144,6 +161,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
                 Q = P.copy()
                 Q[:, c] = np.clip(Q[:, c] + delta, -1.0, 1.0)
                 qvals = eval_q_batch(Q)
+                _top(qvals, Q, limit, bound, "ascent")
                 evaluations += starts
                 better = qvals > vals
                 P[better] = Q[better]
@@ -151,10 +169,6 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
         bracket *= 0.5
     idx = int(np.argmax(vals))
     top = float(vals[idx])
-    if top > limit:
-        raise BoundViolationError(
-            f"ascent point {tuple(P[idx])} gives {top} > bound {bound}"
-        )
     if top > best_value:
         best_value, best_point, method = top, tuple(P[idx]), "coordinate-ascent"
 
@@ -211,12 +225,7 @@ def grid_max(n: int, step: float) -> MaxReport:
         X = np.concatenate([np.full((tail.shape[0], 1), v), tail], axis=1)
         vals = eval_q_batch(X)
         evaluations += X.shape[0]
-        idx = int(np.argmax(vals))
-        top = float(vals[idx])
-        if top > limit:
-            raise BoundViolationError(
-                f"grid point {tuple(X[idx])} gives {top} > bound {bound}"
-            )
+        idx, top = _top(vals, X, limit, bound, "grid")
         if top > best_value:
             best_value, best_point = top, tuple(float(c) for c in X[idx])
         for row in np.nonzero(vals >= near)[0]:
@@ -339,8 +348,7 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
     tracks the largest deviation of the quad_swap gap from its closed
     factored form, which must stay at roundoff level.
     """
-    if samples < 0:
-        raise DomainError(f"samples must be nonnegative, got {samples}")
+    samples = _check_count("samples", samples)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(samples, 3))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -420,6 +428,7 @@ def verify_monotonicity(
         raise ResourceLimitError(
             f"exhaustive sweep is limited to n_max <= 8, got {n_max}"
         )
+    samples_per_move = _check_count("samples_per_move", samples_per_move)
     rng = np.random.default_rng(seed)
     certificates = moves_checked = 0
     violations: list[str] = []
@@ -436,7 +445,7 @@ def verify_monotonicity(
                     prods = np.prod(Z[:, i - 1 : j], axis=1)
                     local = local * (1 - scheme.sign(i, j) * prods)
                 worst_local = float(np.max(local)) if samples_per_move else 0.0
-                if worst_local > 1 + FACTOR_TOL:
+                if not worst_local <= 1 + FACTOR_TOL:
                     violations.append(
                         f"local factor product {worst_local} > 1 "
                         f"for {move} on {eps}"
@@ -444,7 +453,8 @@ def verify_monotonicity(
                 after = apply_move(scheme, move)
                 f_before = eval_f_batch(scheme, Z)
                 f_after = eval_f_batch(after, Z)
-                drop = np.nonzero(f_before > f_after + PRODUCT_TOL)[0]
+                # written so that a NaN on either side counts as a drop
+                drop = np.nonzero(~(f_before <= f_after + PRODUCT_TOL))[0]
                 for idx in drop[:10]:
                     violations.append(
                         f"F decreased across {move} on {eps} at z={tuple(Z[idx])}: "

@@ -24,6 +24,7 @@ PLUS = 1
 MINUS = -1
 
 _SIGN_CHARS = {PLUS: "+", MINUS: "-"}
+_SIGN_SET = frozenset(_SIGN_CHARS)
 
 _PARSE_TOKENS = {"+": PLUS, "+1": PLUS, "1": PLUS, "-": MINUS, "-1": MINUS}
 
@@ -114,7 +115,8 @@ class Scheme:
                     f"row {idx + 1} has length {len(row)}, expected {n - idx}"
                 )
             for v in row:
-                if v not in (PLUS, MINUS):
+                # plain ints only: True and 1.0 also compare equal to 1
+                if type(v) is not int or v not in _SIGN_SET:
                     raise DomainError(f"scheme entries must be +1 or -1, got {v!r}")
 
     @property

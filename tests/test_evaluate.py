@@ -162,6 +162,27 @@ def test_batch_domain_checks():
         eval_f_batch(reference_scheme(2), np.array([[0.5]]))
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def test_eval_q_batch_rejects_non_finite():
+    for bad in NON_FINITE:
+        with pytest.raises(DomainError):
+            eval_q_batch(np.array([[0.5, bad], [0.0, 0.0]]))
+
+
+def test_eval_f_batch_rejects_non_finite():
+    for bad in NON_FINITE:
+        with pytest.raises(DomainError):
+            eval_f_batch(reference_scheme(2), np.array([[0.5, 0.5], [bad, 0.5]]))
+
+
+def test_eval_p_rejects_non_finite():
+    for y in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf), (-math.inf,)):
+        with pytest.raises(DomainError):
+            eval_p(y)
+
+
 def test_inequality_ids():
     assert FACTOR_INEQUALITIES == ("pair_one", "pair_swap", "quad_swap", "quad_one")
 

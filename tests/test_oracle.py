@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from signschemes import (
@@ -64,8 +65,44 @@ def test_verify_bound_small_dims():
 
 
 def test_verify_bound_rejects_negative_budget():
-    with pytest.raises(DomainError):
-        verify_bound(2, budget=-5)
+    for budget in (-5, 1.5, True, "10"):
+        with pytest.raises(DomainError):
+            verify_bound(2, budget=budget)
+
+
+def test_sample_counts_must_be_nonnegative_integers():
+    for samples in (-1, 1.5, True):
+        with pytest.raises(DomainError):
+            verify_inequalities(samples=samples)
+        with pytest.raises(DomainError):
+            verify_monotonicity(2, samples_per_move=samples)
+
+
+def _nan_batch(X):
+    return np.full(np.shape(X)[0], np.nan)
+
+
+def test_verify_bound_flags_nan_evaluator(monkeypatch):
+    monkeypatch.setattr(oracle, "eval_q_batch", _nan_batch)
+    with pytest.raises(BoundViolationError):
+        verify_bound(3, budget=1000)
+    # with no random budget the ascent's own batches must catch it
+    with pytest.raises(BoundViolationError):
+        verify_bound(3, budget=0)
+
+
+def test_grid_max_flags_nan_evaluator(monkeypatch):
+    monkeypatch.setattr(oracle, "eval_q_batch", _nan_batch)
+    with pytest.raises(BoundViolationError):
+        grid_max(3, 0.5)
+
+
+def test_monotonicity_flags_nan_evaluator(monkeypatch):
+    clean = verify_monotonicity(2, samples_per_move=5)
+    assert clean.violations == ()
+    monkeypatch.setattr(oracle, "eval_f_batch", lambda scheme, Z: _nan_batch(Z))
+    rep = verify_monotonicity(2, samples_per_move=5)
+    assert len(rep.violations) == 5 * clean.moves_checked
 
 
 def test_verify_bound_is_deterministic():

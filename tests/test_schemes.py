@@ -77,6 +77,10 @@ def test_generate_rejects_non_sign_entries():
             generate_scheme(eps)
         with pytest.raises(DomainError):
             as_sign_vector(list(eps))
+    # the same rule holds for entries given to Scheme directly
+    for rows in (((True, 1.0), (-1,)), ((1, 1), (True,)), ((1, -1.0), (1,)), ((1, [1]), (1,))):
+        with pytest.raises(DomainError):
+            Scheme(rows)
 
 
 def test_as_sign_vector_freezes():
