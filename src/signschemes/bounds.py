@@ -70,8 +70,8 @@ def discriminant_bound(n: int, regulator: float, gamma: float | None = None) -> 
         raise DomainError(f"degree must be an integer, got {n!r}")
     if n < 2:
         raise DomainError(f"degree must be at least 2, got {n}")
-    if not regulator > 0:
-        raise DomainError(f"regulator must be positive, got {regulator}")
+    if not 0 < regulator < math.inf:
+        raise DomainError(f"regulator must be positive and finite, got {regulator}")
     from_table = gamma is None
     if from_table:
         if n - 1 > HERMITE_MAX_RANK:
@@ -80,8 +80,8 @@ def discriminant_bound(n: int, regulator: float, gamma: float | None = None) -> 
                 f"pass gamma explicitly"
             )
         gamma = hermite_constant(n - 1)
-    elif not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    elif not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
     main = math.sqrt(gamma * (n**3 - n) / 3) * (math.sqrt(n) * regulator) ** (
         1.0 / (n - 1)
     )

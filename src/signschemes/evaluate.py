@@ -26,6 +26,7 @@ with 1 - s*p written as 1 - p or 1 + p, the same IEEE operation.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +44,15 @@ _EDGE_SLACK = 1e-15
 CHUNK = 8192  # rows per block of the batch kernel
 
 
+def _fraction(c) -> Fraction:
+    with suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(c, str):
+            return Fraction(c)
+    raise DomainError(f"exact coordinate {c!r} is not a finite number")
+
+
 def _coords(point, exact: bool) -> tuple:
-    coords = tuple(Fraction(c) for c in point) if exact else tuple(point)
+    coords = tuple(map(_fraction, point)) if exact else tuple(point)
     if not coords:
         raise DimensionError("evaluation point must be non-empty")
     return coords

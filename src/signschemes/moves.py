@@ -16,12 +16,18 @@ Move kinds, with the pattern required before the flip:
                               with i < i2 <= j < j2
 
 Applying a move flips exactly the listed positions.
+
+A Move is an immutable (kind, i, j, i2, j2) tuple, validated once in
+__new__, with read-only properties for its fields. Moves equal and hash
+by value, and a Move never equals a plain tuple. A certificate round
+trip makes one Move per move, so construction is one validating call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DimensionError, DomainError, InvalidMoveError, TriangleIndexError
 from .schemes import MINUS, PLUS, Scheme, as_sign_vector, sign_char
@@ -40,42 +46,53 @@ _KIND_NAMES = {
     SQUARE: "Square",
 }
 
+_REQUIRED_SIGNS = {
+    POINT: (PLUS,),
+    HORIZONTAL: (PLUS, MINUS),
+    VERTICAL: (MINUS, PLUS),
+    SQUARE: (MINUS, PLUS, PLUS, MINUS),
+}
 
-@dataclass(frozen=True)
-class Move:
+_FIELDS = frozenset(("kind", "i", "i2", "j", "j2"))
+
+
+class Move(tuple):
     """A single rewrite move. i2/j2 are set only for the kinds that use them."""
 
-    kind: str
-    i: int
-    j: int
-    i2: int | None = None
-    j2: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown move kind {self.kind!r}")
-        if self.kind == POINT:
-            ok = self.i2 is None and self.j2 is None and 1 <= self.i <= self.j
-        elif self.kind == HORIZONTAL:
-            ok = (
-                self.i2 is None
-                and self.j2 is not None
-                and 1 <= self.i <= self.j < self.j2
-            )
-        elif self.kind == VERTICAL:
-            ok = (
-                self.j2 is None
-                and self.i2 is not None
-                and 1 <= self.i < self.i2 <= self.j
-            )
+    def __new__(cls, kind: str, i: int, j: int, i2=None, j2=None):
+        if kind == POINT:
+            ok = i2 is None and j2 is None and 1 <= i <= j
+        elif kind == HORIZONTAL:
+            ok = i2 is None and j2 is not None and 1 <= i <= j < j2
+        elif kind == VERTICAL:
+            ok = j2 is None and i2 is not None and 1 <= i < i2 <= j
+        elif kind == SQUARE:
+            ok = i2 is not None and j2 is not None and 1 <= i < i2 <= j < j2
         else:
-            ok = (
-                self.i2 is not None
-                and self.j2 is not None
-                and 1 <= self.i < self.i2 <= self.j < self.j2
-            )
+            raise DomainError(f"unknown move kind {kind!r}")
+        self = tuple.__new__(cls, (kind, i, j, i2, j2))
         if not ok:
             raise TriangleIndexError(f"invalid indices for {self!s}")
+        return self
+
+    kind, i, j, i2, j2 = (property(itemgetter(k)) for k in range(5))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        kind, i, j, i2, j2 = self
+        return f"Move(kind={kind!r}, i={i!r}, j={j!r}, i2={i2!r}, j2={j2!r})"
 
     @classmethod
     def point(cls, i: int, j: int) -> "Move":
@@ -83,79 +100,71 @@ class Move:
 
     @classmethod
     def horizontal(cls, i: int, j: int, j2: int) -> "Move":
-        return cls(HORIZONTAL, i, j, j2=j2)
+        return cls(HORIZONTAL, i, j, None, j2)
 
     @classmethod
     def vertical(cls, i: int, i2: int, j: int) -> "Move":
-        return cls(VERTICAL, i, j, i2=i2)
+        return cls(VERTICAL, i, j, i2)
 
     @classmethod
     def square(cls, i: int, i2: int, j: int, j2: int) -> "Move":
-        return cls(SQUARE, i, j, i2=i2, j2=j2)
+        return cls(SQUARE, i, j, i2, j2)
 
     def touched_positions(self) -> tuple[tuple[int, int], ...]:
         """The positions this move flips, in pattern order."""
-        if self.kind == POINT:
-            return ((self.i, self.j),)
-        if self.kind == HORIZONTAL:
-            return ((self.i, self.j), (self.i, self.j2))
-        if self.kind == VERTICAL:
-            return ((self.i, self.j), (self.i2, self.j))
-        return (
-            (self.i, self.j),
-            (self.i, self.j2),
-            (self.i2, self.j),
-            (self.i2, self.j2),
-        )
+        kind, i, j, i2, j2 = self
+        if kind == POINT:
+            return ((i, j),)
+        if kind == HORIZONTAL:
+            return ((i, j), (i, j2))
+        if kind == VERTICAL:
+            return ((i, j), (i2, j))
+        return ((i, j), (i, j2), (i2, j), (i2, j2))
 
     def required_signs(self) -> tuple[int, ...]:
         """Signs the scheme must show at touched_positions() for this move."""
-        if self.kind == POINT:
-            return (PLUS,)
-        if self.kind == HORIZONTAL:
-            return (PLUS, MINUS)
-        if self.kind == VERTICAL:
-            return (MINUS, PLUS)
-        return (MINUS, PLUS, PLUS, MINUS)
+        return _REQUIRED_SIGNS[self[0]]
 
     def __str__(self) -> str:
-        name = _KIND_NAMES[self.kind]
-        if self.kind == POINT:
-            return f"{name}({self.i};{self.j})"
-        if self.kind == HORIZONTAL:
-            return f"{name}({self.i};{self.j},{self.j2})"
-        if self.kind == VERTICAL:
-            return f"{name}({self.i},{self.i2};{self.j})"
-        return f"{name}({self.i},{self.i2};{self.j},{self.j2})"
+        kind, i, j, i2, j2 = self
+        name = _KIND_NAMES[kind]
+        if kind == POINT:
+            return f"{name}({i};{j})"
+        if kind == HORIZONTAL:
+            return f"{name}({i};{j},{j2})"
+        if kind == VERTICAL:
+            return f"{name}({i},{i2};{j})"
+        return f"{name}({i},{i2};{j},{j2})"
 
     def to_obj(self) -> dict:
         """Plain dict for JSON serialization; unused indices are omitted."""
-        obj = {"kind": self.kind, "i": self.i}
-        if self.i2 is not None:
-            obj["i2"] = self.i2
-        obj["j"] = self.j
-        if self.j2 is not None:
-            obj["j2"] = self.j2
+        kind, i, j, i2, j2 = self
+        obj = {"kind": kind, "i": i}
+        if i2 is not None:
+            obj["i2"] = i2
+        obj["j"] = j
+        if j2 is not None:
+            obj["j2"] = j2
         return obj
 
     @classmethod
     def from_obj(cls, obj) -> "Move":
         if not isinstance(obj, dict):
             raise DomainError(f"move must be an object, got {type(obj).__name__}")
-        allowed = {"kind", "i", "i2", "j", "j2"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise DomainError(f"unknown move fields: {sorted(unknown)}")
-        kind = obj.get("kind")
+        if not obj.keys() <= _FIELDS:
+            raise DomainError(f"unknown move fields: {sorted(set(obj) - _FIELDS)}")
+        get = obj.get
+        kind, i, j, i2, j2 = get("kind"), get("i"), get("j"), get("i2"), get("j2")
         if kind not in _KINDS:
             raise DomainError(f"unknown move kind {kind!r}")
-        for key in ("i", "j", "i2", "j2"):
-            v = obj.get(key)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+        for key, v in (("i", i), ("j", j), ("i2", i2), ("j2", j2)):
+            if v is not None and type(v) is not int and (
+                isinstance(v, bool) or not isinstance(v, int)
+            ):
                 raise DomainError(f"move field {key!r} must be an integer")
-        if "i" not in obj or "j" not in obj:
+        if i is None or j is None:
             raise DomainError("move needs fields 'i' and 'j'")
-        return cls(kind, obj["i"], obj["j"], i2=obj.get("i2"), j2=obj.get("j2"))
+        return cls(kind, i, j, i2, j2)
 
 
 def flipped_positions(move: Move) -> frozenset[tuple[int, int]]:

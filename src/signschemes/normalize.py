@@ -88,6 +88,8 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
     # ends[i]: indices into moves of the Point(i;j) and Vertical(.,i;j)
     # moves, in creation order, so the top has the largest j
     ends: list[list[int]] = [[] for _ in range(n + 1)]
+    # reference_sign(i, k) depends only on k - i
+    alt = [reference_sign(1, j) for j in range(1, n + 1)]
 
     def emit(level, op, action, flipped, work):
         steps.append(
@@ -101,7 +103,7 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
         for i in range(k, 0, -1):
             suffix[i] = suffix[i + 1] + col[i - 1]
         work = col[:]
-        ref = [reference_sign(i, k) for i in range(1, k + 1)]
+        ref = alt[k - 1 :: -1]
         # wrong '+' rows below the scanned row, the nearest one on top
         wrong_plus: list[int] = []
 
@@ -165,11 +167,11 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
             if steps is not None:
                 emit(k, OP_POINT, f"add {mv}", ((i, k),), work)
 
-        for i in range(1, k + 1):
-            if work[i - 1] != ref[i - 1]:
-                raise AlgorithmInvariantError(
-                    f"column {k} not repaired at row {i} after processing"
-                )
+        if work != ref:
+            i = next(i for i in range(1, k + 1) if work[i - 1] != ref[i - 1])
+            raise AlgorithmInvariantError(
+                f"column {k} not repaired at row {i} after processing"
+            )
         if steps is not None:
             emit(k, OP_LEVEL, f"column {k} complete", (), work)
 
@@ -253,26 +255,25 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
     preconditions_ok = True
     for idx, move in enumerate(cert.moves):
         positions = move.touched_positions()
-        out_of_range = [p for p in positions if not (1 <= p[0] <= p[1] <= n)]
-        if out_of_range:
+        outside = mismatch = None
+        for pos, req in zip(positions, move.required_signs()):
+            i, j = pos
+            if not (1 <= i <= j <= n):
+                outside = pos
+                break
+            if mismatch is None and grid[i - 1][j - i] != req:
+                mismatch = (pos, req, grid[i - 1][j - i])
+        if outside is not None:
             preconditions_ok = False
-            failures.append(
-                f"move {idx} {move}: position {out_of_range[0]} outside triangle"
-            )
+            failures.append(f"move {idx} {move}: position {outside} outside triangle")
             continue
-        overlap = [p for p in positions if p in seen]
-        if overlap:
+        if not seen.isdisjoint(positions):
+            overlap = [p for p in positions if p in seen]
             disjoint = False
             failures.append(
                 f"move {idx} {move}: position {overlap[0]} already touched"
             )
         seen.update(positions)
-        mismatch = None
-        for pos, req in zip(positions, move.required_signs()):
-            found = grid[pos[0] - 1][pos[1] - pos[0]]
-            if found != req:
-                mismatch = (pos, req, found)
-                break
         if mismatch is not None:
             pos, req, found = mismatch
             preconditions_ok = False
@@ -281,14 +282,17 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
                 f"found '{sign_char(found)}'"
             )
             continue
-        for pos in positions:
-            grid[pos[0] - 1][pos[1] - pos[0]] *= -1
+        for i, j in positions:
+            grid[i - 1][j - i] *= -1
 
+    # row i of the target is a prefix of row 1; scan only rows that differ
+    top = [reference_sign(1, j) for j in range(1, n + 1)]
     residual = tuple(
         (i, j)
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-        if grid[i - 1][j - i] != reference_sign(i, j)
+        for i, row in enumerate(grid, 1)
+        if row != top[: n - i + 1]
+        for j, s in enumerate(row, i)
+        if s != top[j - i]
     )
     return CheckReport(
         eps=eps,

@@ -49,9 +49,10 @@ _BATCH = 250_000
 _GRID_POINT_CAP = 40_000_000
 
 
-def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+def _check_count(name: str, value, least: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
 
 
@@ -72,8 +73,7 @@ def _top(vals, X, limit, bound, where: str) -> tuple[int, float]:
 
 def qmax_bound(n: int) -> int:
     """The proven maximum of the n-variable cube product: 2^floor((n+1)/2)."""
-    if n < 1:
-        raise DomainError(f"dimension must be positive, got {n}")
+    n = _check_count("dimension", n, 1)
     return 2 ** ((n + 1) // 2)
 
 
@@ -83,8 +83,7 @@ def candidate_maximizers(n: int) -> tuple[tuple[int, ...], ...]:
     Odd n has the single alternating point (-1, 0, -1, 0, ...); even n
     has the n/2 + 1 block patterns [-1,0]*k + [0,-1]*(n/2 - k).
     """
-    if n < 1:
-        raise DomainError(f"dimension must be positive, got {n}")
+    n = _check_count("dimension", n, 1)
     if n % 2 == 1:
         return (tuple(-1 if i % 2 == 0 else 0 for i in range(n)),)
     half = n // 2
@@ -194,8 +193,7 @@ def grid_max(n: int, step: float) -> MaxReport:
     bound exactly. Grid points attaining the bound outside the known
     family are returned as findings, not failures.
     """
-    if n < 1:
-        raise DomainError(f"dimension must be positive, got {n}")
+    n = _check_count("dimension", n, 1)
     if not math.isfinite(step) or step <= 0:
         raise DomainError(f"step must be positive and finite, got {step}")
     m = round(1.0 / step)
@@ -273,8 +271,7 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
     Exhaustive over all 2^n sign vectors for n <= 16; beyond that each
     dimension gets 512 random vectors instead.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be positive, got {n_max}")
+    n_max = _check_count("n_max", n_max, 1)
     rng = np.random.default_rng(seed)
     exhaustive = n_max <= 16
     vectors = squares = sums = parity = 0
@@ -422,8 +419,7 @@ def verify_monotonicity(
     to PRODUCT_TOL and that the product of the move's touched factors in
     the pre-move scheme stays <= 1 up to FACTOR_TOL.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be positive, got {n_max}")
+    n_max = _check_count("n_max", n_max, 1)
     if n_max > 8:
         raise ResourceLimitError(
             f"exhaustive sweep is limited to n_max <= 8, got {n_max}"

@@ -43,7 +43,10 @@ def as_sign_vector(values) -> tuple[int, ...]:
     Entries must be integers; bools and floats are rejected even where
     they compare equal to +1 or -1.
     """
-    eps = tuple(values)
+    try:
+        eps = tuple(values)
+    except TypeError:
+        raise DomainError(f"sign vector must be a sequence, got {values!r}") from None
     if not eps:
         raise DimensionError("sign vector must be non-empty")
     plain = True

@@ -78,6 +78,10 @@ def test_input_validation():
     with pytest.raises(DomainError):
         discriminant_bound(2, float("nan"), 1.0)
     with pytest.raises(DomainError):
+        discriminant_bound(2, math.inf, 1.0)
+    with pytest.raises(DomainError):
+        discriminant_bound(2, 1.0, math.inf)
+    with pytest.raises(DomainError):
         discriminant_bound(10, 1.0)
     assert discriminant_bound(10, 1.0, 3.0).degree == 10
 

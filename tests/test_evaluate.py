@@ -181,6 +181,19 @@ def test_eval_p_rejects_non_finite():
     for y in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf), (-math.inf,)):
         with pytest.raises(DomainError):
             eval_p(y)
+        with pytest.raises(DomainError):
+            eval_p(y, exact=True)
+
+
+def test_exact_mode_rejects_non_numbers():
+    # Fraction would raise ValueError/OverflowError/TypeError, or parse a string
+    for x in ((math.nan,), (0.5, math.inf), ("0.5",), (None,), ([0.5],)):
+        with pytest.raises(DomainError):
+            eval_q(x, exact=True)
+        with pytest.raises(DomainError):
+            eval_f(generate_scheme((1,) * len(x)), x, exact=True)
+    # Fractions, ints and bools still convert exactly
+    assert eval_q((Fraction(1, 2), True), exact=True) == eval_q((0.5, 1), exact=True)
 
 
 def test_inequality_ids():

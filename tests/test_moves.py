@@ -189,6 +189,15 @@ def test_certificate_obj_errors():
         certificate_from_obj({"eps": [1], "moves": [{"kind": "Q", "i": 1, "j": 1}]})
     with pytest.raises(DomainError):
         certificate_from_obj({"eps": [1], "moves": 5})
+    for eps in (None, 5, True):
+        with pytest.raises(DomainError):
+            certificate_from_obj({"eps": eps, "moves": []})
+    # a null index is a missing field, not a bare TypeError from the
+    # constructor (or a TriangleIndexError for a kind without i2/j2)
+    for kind, field in (("P", "i"), ("P", "j"), ("S", "i"), ("V", "j")):
+        move = {"kind": kind, "i": 1, "i2": 2, "j": 2, "j2": 3, field: None}
+        with pytest.raises(DomainError, match="needs fields 'i' and 'j'"):
+            certificate_from_obj({"eps": [1, 1, 1], "moves": [move]})
     with pytest.raises(DomainError):
         certificate_from_obj({"n": True, "eps": [1], "moves": []})
     with pytest.raises(DomainError):

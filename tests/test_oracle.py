@@ -70,6 +70,21 @@ def test_verify_bound_rejects_negative_budget():
             verify_bound(2, budget=budget)
 
 
+def test_dimension_arguments_must_be_positive_integers():
+    for n in (2.5, True, 0, -1, "3"):
+        for call in (
+            lambda: verify_bound(n, budget=10),
+            lambda: verify_identities(n),
+            lambda: verify_monotonicity(n),
+            lambda: grid_max(n, 0.5),
+            lambda: qmax_bound(n),
+            lambda: candidate_maximizers(n),
+        ):
+            with pytest.raises(DomainError):
+                call()
+    assert qmax_bound(np.int64(3)) == 4
+
+
 def test_sample_counts_must_be_nonnegative_integers():
     for samples in (-1, 1.5, True):
         with pytest.raises(DomainError):

@@ -77,6 +77,9 @@ def test_generate_rejects_non_sign_entries():
             generate_scheme(eps)
         with pytest.raises(DomainError):
             as_sign_vector(list(eps))
+    for values in (None, 5, 1.0):
+        with pytest.raises(DomainError):
+            as_sign_vector(values)
     # the same rule holds for entries given to Scheme directly
     for rows in (((True, 1.0), (-1,)), ((1, 1), (True,)), ((1, -1.0), (1,)), ((1, [1]), (1,))):
         with pytest.raises(DomainError):
