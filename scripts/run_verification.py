@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Run every corroboration suite at desk scale and report violations."""
+"""Run every corroboration suite at desk scale and report violations.
+
+Prints the same summary line per report as `signschemes verify`, each
+followed by the wall time of its stage.
+"""
 
 import argparse
 import sys
 import time
 
-from signschemes import (
-    verify_bound,
-    verify_identities,
-    verify_inequalities,
-    verify_monotonicity,
-)
+from signschemes.cli import run_suites
 
 
 def main() -> int:
@@ -21,46 +20,11 @@ def main() -> int:
     args = parser.parse_args()
 
     violations = 0
-
-    t0 = time.time()
-    rep = verify_identities(args.n_max, seed=args.seed)
-    violations += len(rep.violations)
-    print(
-        f"identities  n_max={rep.n_max}: vectors={rep.vectors_checked} "
-        f"squares={rep.squares_checked} sums={rep.sums_checked} "
-        f"parity={rep.parity_checked} violations={len(rep.violations)} "
-        f"[{time.time() - t0:.1f}s]"
-    )
-
-    t0 = time.time()
-    rep = verify_inequalities(args.samples, seed=args.seed)
-    violations += len(rep.violations)
-    print(
-        f"inequalities samples={rep.samples}: corners={rep.corner_checks} "
-        f"max_residual={rep.max_residual:.3g} violations={len(rep.violations)} "
-        f"[{time.time() - t0:.1f}s]"
-    )
-
-    t0 = time.time()
-    rep = verify_monotonicity(
-        min(args.n_max, 8), samples_per_move=max(10, args.samples // 1000),
-        seed=args.seed,
-    )
-    violations += len(rep.violations)
-    print(
-        f"monotonicity n_max={rep.n_max}: certificates={rep.certificates} "
-        f"moves={rep.moves_checked} violations={len(rep.violations)} "
-        f"[{time.time() - t0:.1f}s]"
-    )
-
-    for n in range(1, args.n_max + 1):
-        t0 = time.time()
-        rep = verify_bound(n, budget=args.samples, seed=args.seed)
-        print(
-            f"bound n={n}: best={rep.best_value:.12g} bound={rep.bound} "
-            f"method={rep.method} evaluations={rep.evaluations} "
-            f"[{time.time() - t0:.1f}s]"
-        )
+    t0 = time.perf_counter()
+    for name, rep in run_suites("all", args.n_max, args.samples, args.seed):
+        violations += len(getattr(rep, "violations", ()))
+        print(f"{name}: {rep.summary()} [{time.perf_counter() - t0:.1f}s]", flush=True)
+        t0 = time.perf_counter()
 
     print("OK" if violations == 0 else f"{violations} violation(s)")
     return 0 if violations == 0 else 1

@@ -23,6 +23,7 @@ from .errors import (
     BoundViolationError,
     DimensionError,
     DomainError,
+    InvalidMoveError,
     ResourceLimitError,
     TriangleIndexError,
 )
@@ -44,6 +45,8 @@ from .oracle import (
 from .schemes import format_signs, generate_scheme, parse_signs
 
 SEED_ENV = "SIGNSCHEMES_SEED"
+
+SUITES = ("lemmas", "monotonicity", "bound")
 
 # Tokens shaped like sign vectors, e.g. '-,-,-' or '-1,1' or '--+'.
 _DASH_VECTOR = re.compile(r"-[+\-01,\s]*")
@@ -107,17 +110,7 @@ def _cmd_check(args) -> int:
         return 2
     report = check_certificate(eps, cert)
     if args.json:
-        obj = {
-            "eps": list(report.eps),
-            "accepted": report.accepted,
-            "source_matches": report.source_matches,
-            "disjoint": report.disjoint,
-            "preconditions_ok": report.preconditions_ok,
-            "final_is_reference": report.final_is_reference,
-            "residual_wrong": [list(p) for p in report.residual_wrong],
-            "failures": list(report.failures),
-        }
-        print(json.dumps(obj, separators=(",", ":")))
+        print(report_to_json(report))
     else:
         print(f"sign vector: {format_signs(eps)}")
         print(f"moves: {len(cert.moves)}")
@@ -138,6 +131,27 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def run_suites(suite: str, n_max: int, samples: int, seed: int):
+    """Yield (name, report) per run of suite (one of SUITES, or "all").
+
+    lemmas: identities up to n_max, inequalities on samples points.
+    monotonicity: up to min(n_max, 8), max(10, samples // 100) per move.
+    bound: one report per dimension up to n_max, budget samples each.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise DomainError(f"unknown suite {suite!r}")
+    if suite in ("lemmas", "all"):
+        yield "identities", verify_identities(n_max, seed=seed)
+        yield "inequalities", verify_inequalities(samples, seed=seed)
+    if suite in ("monotonicity", "all"):
+        yield "monotonicity", verify_monotonicity(
+            min(n_max, 8), samples_per_move=max(10, samples // 100), seed=seed
+        )
+    if suite in ("bound", "all"):
+        for n in range(1, n_max + 1):
+            yield f"bound n={n}", verify_bound(n, budget=samples, seed=seed)
+
+
 def _cmd_verify(args) -> int:
     if args.seed is not None:
         seed = args.seed
@@ -148,34 +162,7 @@ def _cmd_verify(args) -> int:
         except ValueError:
             print(f"error: {SEED_ENV}={raw!r} is not an integer", file=sys.stderr)
             return 2
-    suites = (
-        ("lemmas", "monotonicity", "bound")
-        if args.suite == "all"
-        else (args.suite,)
-    )
-    named_reports = []
-    for suite in suites:
-        if suite == "lemmas":
-            named_reports.append(("identities", verify_identities(args.n_max, seed=seed)))
-            named_reports.append(
-                ("inequalities", verify_inequalities(args.samples, seed=seed))
-            )
-        elif suite == "monotonicity":
-            named_reports.append(
-                (
-                    "monotonicity",
-                    verify_monotonicity(
-                        min(args.n_max, 8),
-                        samples_per_move=max(10, args.samples // 100),
-                        seed=seed,
-                    ),
-                )
-            )
-        else:
-            for n in range(1, args.n_max + 1):
-                named_reports.append(
-                    (f"bound n={n}", verify_bound(n, budget=args.samples, seed=seed))
-                )
+    named_reports = list(run_suites(args.suite, args.n_max, args.samples, seed))
     violations = []
     for name, rep in named_reports:
         violations.extend(f"{name}: {v}" for v in getattr(rep, "violations", ()))
@@ -191,37 +178,11 @@ def _cmd_verify(args) -> int:
         print(json.dumps(obj, separators=(",", ":")))
     else:
         for name, rep in named_reports:
-            print(f"{name}: {_summarize(rep)}")
+            print(f"{name}: {rep.summary()}")
         for line in violations:
             print(f"violation: {line}")
         print("verify: OK" if not violations else f"verify: {len(violations)} violation(s)")
     return 0 if not violations else 1
-
-
-def _summarize(rep) -> str:
-    cls = type(rep).__name__
-    if cls == "IdentityReport":
-        return (
-            f"vectors={rep.vectors_checked} squares={rep.squares_checked} "
-            f"sums={rep.sums_checked} parity={rep.parity_checked} "
-            f"seed={rep.seed} violations={len(rep.violations)}"
-        )
-    if cls == "InequalityReport":
-        return (
-            f"samples={rep.samples} corners={rep.corner_checks} "
-            f"max_residual={rep.max_residual:.3g} seed={rep.seed} "
-            f"violations={len(rep.violations)}"
-        )
-    if cls == "MonotonicityReport":
-        return (
-            f"certificates={rep.certificates} moves={rep.moves_checked} "
-            f"samples_per_move={rep.samples_per_move} seed={rep.seed} "
-            f"violations={len(rep.violations)}"
-        )
-    return (
-        f"best={rep.best_value:.12g} bound={rep.bound} method={rep.method} "
-        f"attained={_yn(rep.attained)} evaluations={rep.evaluations} seed={rep.seed}"
-    )
 
 
 def _cmd_bound(args) -> int:
@@ -274,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the corroboration suites")
     p.add_argument(
         "--suite",
-        choices=("lemmas", "monotonicity", "bound", "all"),
+        choices=SUITES + ("all",),
         default="all",
         help="which suite to run (default: all)",
     )
@@ -314,7 +275,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (DomainError, DimensionError, TriangleIndexError, ResourceLimitError) as exc:
+    except (
+        DomainError,
+        DimensionError,
+        TriangleIndexError,
+        InvalidMoveError,
+        ResourceLimitError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BoundViolationError, AlgorithmInvariantError) as exc:

@@ -18,9 +18,10 @@ Move kinds, with the pattern required before the flip:
 Applying a move flips exactly the listed positions.
 
 A Move is an immutable (kind, i, j, i2, j2) tuple, validated once in
-__new__, with read-only properties for its fields. Moves equal and hash
-by value, and a Move never equals a plain tuple. A certificate round
-trip makes one Move per move, so construction is one validating call.
+__new__ (kind, then index types, then index ranges), with read-only
+properties for its fields. Moves equal and hash by value, and a Move
+never equals a plain tuple. A certificate round trip makes one Move per
+move, so construction is one validating call.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ _REQUIRED_SIGNS = {
 
 _FIELDS = frozenset(("kind", "i", "i2", "j", "j2"))
 
+_INDEX = (int, type(None))  # exact types of an index on the fast path
+
 
 class Move(tuple):
     """A single rewrite move. i2/j2 are set only for the kinds that use them."""
@@ -62,6 +65,15 @@ class Move(tuple):
     __slots__ = ()
 
     def __new__(cls, kind: str, i: int, j: int, i2=None, j2=None):
+        if not (type(i) is type(j) is int and type(i2) in _INDEX and type(j2) in _INDEX):
+            # name the first bad field; bools and numpy integers are not indices
+            if kind not in _KINDS:
+                raise DomainError(f"unknown move kind {kind!r}")
+            for key, v in (("i", i), ("j", j), ("i2", i2), ("j2", j2)):
+                if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+                    raise DomainError(f"move field {key!r} must be an integer")
+            if i is None or j is None:
+                raise DomainError("move needs fields 'i' and 'j'")
         if kind == POINT:
             ok = i2 is None and j2 is None and 1 <= i <= j
         elif kind == HORIZONTAL:
@@ -154,17 +166,7 @@ class Move(tuple):
         if not obj.keys() <= _FIELDS:
             raise DomainError(f"unknown move fields: {sorted(set(obj) - _FIELDS)}")
         get = obj.get
-        kind, i, j, i2, j2 = get("kind"), get("i"), get("j"), get("i2"), get("j2")
-        if kind not in _KINDS:
-            raise DomainError(f"unknown move kind {kind!r}")
-        for key, v in (("i", i), ("j", j), ("i2", i2), ("j2", j2)):
-            if v is not None and type(v) is not int and (
-                isinstance(v, bool) or not isinstance(v, int)
-            ):
-                raise DomainError(f"move field {key!r} must be an integer")
-        if i is None or j is None:
-            raise DomainError("move needs fields 'i' and 'j'")
-        return cls(kind, i, j, i2, j2)
+        return cls(get("kind"), get("i"), get("j"), get("i2"), get("j2"))
 
 
 def flipped_positions(move: Move) -> frozenset[tuple[int, int]]:

@@ -36,7 +36,7 @@ those paths raise AlgorithmInvariantError and are bug signals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AlgorithmInvariantError, DimensionError
 from .moves import POINT, Certificate, Move
@@ -208,6 +208,7 @@ class CheckReport:
     """Outcome of replaying a certificate against a generated scheme."""
 
     eps: tuple[int, ...]
+    accepted: bool = field(init=False)
     source_matches: bool
     disjoint: bool
     preconditions_ok: bool
@@ -215,18 +216,13 @@ class CheckReport:
     residual_wrong: tuple[tuple[int, int], ...]
     failures: tuple[str, ...]
 
+    def __post_init__(self):
+        ok = self.source_matches and self.disjoint and self.preconditions_ok
+        object.__setattr__(self, "accepted", ok and self.final_is_reference)
+
     @property
     def n(self) -> int:
         return len(self.eps)
-
-    @property
-    def accepted(self) -> bool:
-        return (
-            self.source_matches
-            and self.disjoint
-            and self.preconditions_ok
-            and self.final_is_reference
-        )
 
 
 def check_certificate(eps, cert: Certificate) -> CheckReport:

@@ -109,6 +109,13 @@ class MaxReport:
     step: float | None = None
     findings: tuple[tuple[float, ...], ...] = ()
 
+    def summary(self) -> str:
+        return (
+            f"best={self.best_value:.12g} bound={self.bound} method={self.method} "
+            f"attained={'yes' if self.attained else 'no'} "
+            f"evaluations={self.evaluations} seed={self.seed}"
+        )
+
 
 def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     """Search for cube-product values above the proven bound.
@@ -264,6 +271,13 @@ class IdentityReport:
     seed: int
     violations: tuple[str, ...]
 
+    def summary(self) -> str:
+        return (
+            f"vectors={self.vectors_checked} squares={self.squares_checked} "
+            f"sums={self.sums_checked} parity={self.parity_checked} "
+            f"seed={self.seed} violations={len(self.violations)}"
+        )
+
 
 def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
     """Check the counting identities over all schemes up to n_max.
@@ -336,6 +350,13 @@ class InequalityReport:
     max_residual: float
     violations: tuple[str, ...]
 
+    def summary(self) -> str:
+        return (
+            f"samples={self.samples} corners={self.corner_checks} "
+            f"max_residual={self.max_residual:.3g} seed={self.seed} "
+            f"violations={len(self.violations)}"
+        )
+
 
 def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityReport:
     """Sample the four factor inequalities at random points plus corners.
@@ -407,6 +428,13 @@ class MonotonicityReport:
     samples_per_move: int
     seed: int
     violations: tuple[str, ...]
+
+    def summary(self) -> str:
+        return (
+            f"certificates={self.certificates} moves={self.moves_checked} "
+            f"samples_per_move={self.samples_per_move} seed={self.seed} "
+            f"violations={len(self.violations)}"
+        )
 
 
 def verify_monotonicity(

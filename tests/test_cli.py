@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from signschemes.cli import main
-from signschemes.moves import certificate_to_json
+from signschemes.cli import main, run_suites
+from signschemes.errors import DomainError
+from signschemes.moves import Certificate, Move, certificate_to_json
 from signschemes.normalize import build_certificate, render_trace, trace_build
 
 WORKED = "+,-,+,+,-,+,+"
+WORKED_EPS = (1, -1, 1, 1, -1, 1, 1)
 
 WORKED_JSON = (
     '{"n":7,"eps":[1,-1,1,1,-1,1,1],"moves":['
@@ -231,6 +233,28 @@ class TestVerify:
         )
         assert json.loads(out)["seed"] == 3
 
+    def test_invalid_move_is_usage_error(self, capsys, monkeypatch):
+        # Point(1;1) needs '+', so replaying it on eps=(-1,) must fail
+        monkeypatch.setattr(
+            "signschemes.oracle.build_certificate",
+            lambda eps: Certificate(eps, (Move.point(1, 1),)),
+        )
+        code, _, err = run(capsys, "verify", "--suite", "monotonicity", "--n-max", "2")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_monotonicity_samples_scale_with_budget(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "monotonicity", "--n-max", "2",
+            "--samples", "5000",
+        )
+        assert code == 0
+        assert "samples_per_move=50 " in out
+
+    def test_run_suites_rejects_unknown_suite(self):
+        with pytest.raises(DomainError, match="unknown suite 'lemma'"):
+            list(run_suites("lemma", 1, 10, 0))
+
     def test_bad_environment_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("SIGNSCHEMES_SEED", "abc")
         code, _, err = run(capsys, "verify", "--suite", "lemmas", "--n-max", "2")
@@ -281,3 +305,118 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+
+# Exact stdout of verify and check, recorded before the suites and the
+# reports shared one runner and one summary/JSON path.
+VERIFY_GOLDEN_TEXT = (
+    "identities: vectors=14 squares=0 sums=31 parity=10 seed=5 violations=0\n"
+    "inequalities: samples=1000 corners=32 max_residual=6.66e-16 seed=5 "
+    "violations=0\n"
+    "monotonicity: certificates=14 moves=20 samples_per_move=10 seed=5 "
+    "violations=0\n"
+    "bound n=1: best=2 bound=2 method=vertex-enum attained=yes "
+    "evaluations=2026 seed=5\n"
+    "bound n=2: best=2 bound=2 method=vertex-enum attained=yes "
+    "evaluations=1974 seed=5\n"
+    "bound n=3: best=4 bound=4 method=vertex-enum attained=yes "
+    "evaluations=1969 seed=5\n"
+    "verify: OK\n"
+)
+
+VERIFY_GOLDEN_JSON = (
+    '{"seed":5,"reports":['
+    '{"suite":"identities","n_max":3,"vectors_checked":14,"squares_checked":0,'
+    '"sums_checked":31,"parity_checked":10,"exhaustive":true,"seed":5,'
+    '"violations":[]},'
+    '{"suite":"inequalities","samples":1000,"seed":5,"checked":4000,'
+    '"corner_checks":32,"max_residual":6.661338147750939e-16,"violations":[]},'
+    '{"suite":"monotonicity","n_max":3,"certificates":14,"moves_checked":20,'
+    '"samples_per_move":10,"seed":5,"violations":[]},'
+    '{"suite":"bound n=1","n":1,"best_value":2.0,"best_point":[-1.0],'
+    '"method":"vertex-enum","bound":2,"within_bound":true,"attained":true,'
+    '"evaluations":2026,"seed":5,"budget":1000,"step":null,"findings":[]},'
+    '{"suite":"bound n=2","n":2,"best_value":2.0,"best_point":[0.0,-1.0],'
+    '"method":"vertex-enum","bound":2,"within_bound":true,"attained":true,'
+    '"evaluations":1974,"seed":5,"budget":1000,"step":null,"findings":[]},'
+    '{"suite":"bound n=3","n":3,"best_value":4.0,"best_point":[-1.0,0.0,-1.0],'
+    '"method":"vertex-enum","bound":4,"within_bound":true,"attained":true,'
+    '"evaluations":1969,"seed":5,"budget":1000,"step":null,"findings":[]}'
+    '],"violations":0}\n'
+)
+
+CHECK_GOLDEN = {
+    "accepted": (
+        0,
+        "sign vector: + - + + - + +\n"
+        "moves: 6\n"
+        "sign vector matches: yes\n"
+        "touched positions disjoint: yes\n"
+        "move preconditions hold: yes\n"
+        "final scheme is target: yes\n"
+        "accepted\n",
+        '{"eps":[1,-1,1,1,-1,1,1],"accepted":true,"source_matches":true,'
+        '"disjoint":true,"preconditions_ok":true,"final_is_reference":true,'
+        '"residual_wrong":[],"failures":[]}\n',
+    ),
+    "truncated": (
+        1,
+        "sign vector: + - + + - + +\n"
+        "moves: 5\n"
+        "sign vector matches: yes\n"
+        "touched positions disjoint: yes\n"
+        "move preconditions hold: yes\n"
+        "final scheme is target: no\n"
+        "residual wrong positions: (1,7)\n"
+        "rejected\n",
+        '{"eps":[1,-1,1,1,-1,1,1],"accepted":false,"source_matches":true,'
+        '"disjoint":true,"preconditions_ok":true,"final_is_reference":false,'
+        '"residual_wrong":[[1,7]],"failures":[]}\n',
+    ),
+    "other_vector": (
+        1,
+        "sign vector: + - + + - + -\n"
+        "moves: 6\n"
+        "sign vector matches: no\n"
+        "touched positions disjoint: yes\n"
+        "move preconditions hold: no\n"
+        "final scheme is target: no\n"
+        "residual wrong positions: (2,7), (3,7), (5,7), (6,7)\n"
+        "fail: certificate sign vector differs from the input vector\n"
+        "fail: move 4 Vertical(4,7;7): needs '-' at (4, 7), found '+'\n"
+        "fail: move 5 Point(1;7): needs '+' at (1, 7), found '-'\n"
+        "rejected\n",
+        '{"eps":[1,-1,1,1,-1,1,-1],"accepted":false,"source_matches":false,'
+        '"disjoint":true,"preconditions_ok":false,"final_is_reference":false,'
+        '"residual_wrong":[[2,7],[3,7],[5,7],[6,7]],'
+        '"failures":["certificate sign vector differs from the input vector",'
+        '"move 4 Vertical(4,7;7): needs \'-\' at (4, 7), found \'+\'",'
+        '"move 5 Point(1;7): needs \'+\' at (1, 7), found \'-\'"]}\n',
+    ),
+}
+
+
+class TestGolden:
+    VERIFY = ("verify", "--suite", "all", "--n-max", "3", "--samples", "1000",
+              "--seed", "5")
+
+    def test_verify_text(self, capsys):
+        assert run(capsys, *self.VERIFY) == (0, VERIFY_GOLDEN_TEXT, "")
+
+    def test_verify_json(self, capsys):
+        assert run(capsys, *self.VERIFY, "--json") == (0, VERIFY_GOLDEN_JSON, "")
+
+    @pytest.mark.parametrize("case", sorted(CHECK_GOLDEN))
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_check(self, capsys, tmp_path, case, as_json):
+        obj = json.loads(certificate_to_json(build_certificate(WORKED_EPS)))
+        signs = WORKED
+        if case == "truncated":
+            obj["moves"] = obj["moves"][:-1]
+        elif case == "other_vector":
+            signs = "+,-,+,+,-,+,-"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, text, js = CHECK_GOLDEN[case]
+        argv = ("check", signs, str(path)) + (("--json",) if as_json else ())
+        assert run(capsys, *argv) == (code, js if as_json else text, "")

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,22 @@ def test_invalid_indices_rejected(bad):
 def test_unknown_kind_rejected():
     with pytest.raises(DomainError):
         Move("X", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Move.point(1, 2.0), "move field 'j' must be an integer"),
+        (lambda: Move("P", None, 2), "move needs fields 'i' and 'j'"),
+        (lambda: Move.point(True, 2), "move field 'i' must be an integer"),
+        (lambda: Move.vertical(1, np.int64(2), 3), "move field 'i2' must be an integer"),
+        (lambda: Move("X", 1.5, None), "unknown move kind 'X'"),
+        (lambda: Move("S", 1, None, 2.5, 4), "move field 'i2' must be an integer"),
+    ],
+)
+def test_constructor_rejects_bad_fields(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 def test_touched_positions_and_required_signs():

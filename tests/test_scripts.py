@@ -1,0 +1,42 @@
+"""Smoke runs of the scripts in scripts/, as separate processes."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from signschemes.cli import run_suites
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_run_verification_prints_one_summary_per_report():
+    proc = run_script("run_verification.py", "--n-max", "3", "--samples", "500")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "OK"
+    expected = [f"{name}: {rep.summary()}" for name, rep in run_suites("all", 3, 500, 0)]
+    assert len(lines) == len(expected) + 1
+    for line, want in zip(lines, expected):
+        assert re.fullmatch(r"(.*) \[\d+\.\ds\]", line).group(1) == want
+
+
+def test_worked_example_is_accepted():
+    proc = run_script("worked_example.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "checker verdict: accepted"
