@@ -40,9 +40,7 @@ from .moves import (
     certificate_from_obj,
     certificate_to_json,
     certificate_to_obj,
-    flipped_positions,
     pattern_mismatch,
-    preconditions_hold,
 )
 from .normalize import (
     CheckReport,
@@ -51,7 +49,6 @@ from .normalize import (
     check_certificate,
     render_trace,
     trace_build,
-    trace_to_json,
     trace_to_obj,
 )
 from .oracle import (

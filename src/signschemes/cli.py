@@ -27,7 +27,7 @@ from .errors import (
     ResourceLimitError,
     TriangleIndexError,
 )
-from .moves import Certificate, certificate_from_json, certificate_to_json, certificate_to_obj
+from .moves import certificate_from_json, certificate_to_json, certificate_to_obj
 from .normalize import (
     build_certificate,
     check_certificate,
@@ -36,6 +36,7 @@ from .normalize import (
     trace_to_obj,
 )
 from .oracle import (
+    _check_count,
     report_to_json,
     verify_bound,
     verify_identities,
@@ -69,12 +70,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_normalize(args) -> int:
     eps = parse_signs(args.signs)
-    if args.trace:
-        steps = trace_build(eps)
-        cert = Certificate(eps, steps[-1].moves)
-    else:
-        steps = None
-        cert = build_certificate(eps)
+    cert = build_certificate(eps)
+    steps = trace_build(eps) if args.trace else None
     if args.json:
         if steps is not None:
             obj = {
@@ -140,6 +137,8 @@ def run_suites(suite: str, n_max: int, samples: int, seed: int):
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
+    n_max = _check_count("n_max", n_max, 1)
+    samples = _check_count("samples", samples)
     if suite in ("lemmas", "all"):
         yield "identities", verify_identities(n_max, seed=seed)
         yield "inequalities", verify_inequalities(samples, seed=seed)

@@ -169,10 +169,6 @@ class Move(tuple):
         return cls(get("kind"), get("i"), get("j"), get("i2"), get("j2"))
 
 
-def flipped_positions(move: Move) -> frozenset[tuple[int, int]]:
-    return frozenset(move.touched_positions())
-
-
 def pattern_mismatch(scheme: Scheme, move: Move):
     """First position where scheme disagrees with the move's pattern, or None.
 
@@ -183,10 +179,6 @@ def pattern_mismatch(scheme: Scheme, move: Move):
         if found != req:
             return pos, req, found
     return None
-
-
-def preconditions_hold(scheme: Scheme, move: Move) -> bool:
-    return pattern_mismatch(scheme, move) is None
 
 
 def apply_move(scheme: Scheme, move: Move) -> Scheme:
@@ -215,16 +207,6 @@ class Certificate:
     @property
     def n(self) -> int:
         return len(self.eps)
-
-    def touched_disjoint(self) -> bool:
-        """Whether no two moves flip the same position."""
-        seen = set()
-        for m in self.moves:
-            for pos in m.touched_positions():
-                if pos in seen:
-                    return False
-                seen.add(pos)
-        return True
 
 
 def certificate_to_obj(cert: Certificate) -> dict:

@@ -35,7 +35,6 @@ those paths raise AlgorithmInvariantError and are bug signals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import AlgorithmInvariantError, DimensionError
@@ -61,7 +60,8 @@ class TraceStep:
 
     op is one of the OP_* constants; flipped lists the column positions
     the event corrected (scanned row first); column is the working column
-    after the event; moves is the move list after the event.
+    after the event. moves is the move list after the event on OP_LEVEL
+    steps and empty on every other step, which keeps a trace O(n^2).
     """
 
     level: int
@@ -92,9 +92,8 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
     alt = [reference_sign(1, j) for j in range(1, n + 1)]
 
     def emit(level, op, action, flipped, work):
-        steps.append(
-            TraceStep(level, op, action, tuple(flipped), tuple(work), tuple(moves))
-        )
+        at = tuple(moves) if op == OP_LEVEL else ()
+        steps.append(TraceStep(level, op, action, tuple(flipped), tuple(work), at))
 
     for k in range(1, n + 1):
         col = _column_of(eps, k)
@@ -195,8 +194,9 @@ def build_certificate(eps) -> Certificate:
 def trace_build(eps) -> tuple[TraceStep, ...]:
     """Like build_certificate, but recording every builder event.
 
-    Emits one step per corrective action plus one closing step per
-    column; the last step's move list is the full certificate.
+    Emits one step per corrective action plus one closing OP_LEVEL step
+    per column, which alone carries the move list; the last step's move
+    list is the full certificate.
     """
     steps: list[TraceStep] = []
     _build(as_sign_vector(eps), steps)
@@ -244,8 +244,12 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
     if not source_matches:
         failures.append("certificate sign vector differs from the input vector")
 
-    # mutable copy of the generated scheme, grid[i-1][j-i] as in Scheme
-    grid = [list(row) for row in generate_scheme(eps).rows]
+    # the generated scheme, grid[i-1][j-i] as in Scheme, from prefix
+    # products: C[i,j] = eps[i]*...*eps[j] = pre[i-1]*pre[j], as pre is +-1
+    pre = [1]
+    for e in eps:
+        pre.append(pre[-1] * e)
+    grid = [[p * q for q in pre[i:]] for i, p in enumerate(pre[:-1], 1)]
     seen: set[tuple[int, int]] = set()
     disjoint = True
     preconditions_ok = True
@@ -351,7 +355,3 @@ def trace_to_obj(eps, steps) -> dict:
             for s in steps
         ],
     }
-
-
-def trace_to_json(eps, steps) -> str:
-    return json.dumps(trace_to_obj(eps, steps), separators=(",", ":"))

@@ -56,6 +56,10 @@ def _check_count(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
+def _rng(seed) -> np.random.Generator:
+    return np.random.default_rng(_check_count("seed", seed))
+
+
 def _top(vals, X, limit, bound, where: str) -> tuple[int, float]:
     """Index and value of the largest cube-product value in a batch.
 
@@ -141,7 +145,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     method = "vertex-enum"
     evaluations = len(candidates)
     limit = bound + PRODUCT_TOL
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     remaining = budget
     while remaining > 0:
@@ -286,7 +290,7 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
     dimension gets 512 random vectors instead.
     """
     n_max = _check_count("n_max", n_max, 1)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     exhaustive = n_max <= 16
     vectors = squares = sums = parity = 0
     violations: list[str] = []
@@ -320,12 +324,10 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
                 if (i + j) % 2 == 1:
                     parity += 1
                     w = wrong_counts(scheme, i, j)
-                    hw = w.h_plus - w.h_minus
-                    vw = w.v_plus - w.v_minus
-                    if v != 2 * vw - 1 or h != 2 * hw - 1 or hw + vw != 1:
+                    if v != 2 * w.v - 1 or h != 2 * w.h - 1 or w.h + w.v != 1:
                         violations.append(
                             f"parity identity fails at ({i},{j}) for {eps}: "
-                            f"H={h}, V={v}, Hw={hw}, Vw={vw}"
+                            f"H={h}, V={v}, Hw={w.h}, Vw={w.v}"
                         )
     return IdentityReport(
         n_max=n_max,
@@ -367,7 +369,7 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
     factored form, which must stay at roundoff level.
     """
     samples = _check_count("samples", samples)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(samples, 3))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     pair_lhs = (1 - x) * (1 + x * y)
@@ -453,7 +455,7 @@ def verify_monotonicity(
             f"exhaustive sweep is limited to n_max <= 8, got {n_max}"
         )
     samples_per_move = _check_count("samples_per_move", samples_per_move)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     certificates = moves_checked = 0
     violations: list[str] = []
     for n in range(1, n_max + 1):

@@ -255,6 +255,35 @@ class TestVerify:
         with pytest.raises(DomainError, match="unknown suite 'lemma'"):
             list(run_suites("lemma", 1, 10, 0))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "bound", "--n-max", "0"),
+            ("--suite", "bound", "--n-max", "-3", "--json"),
+            ("--suite", "monotonicity", "--samples", "-5"),
+        ],
+    )
+    def test_bad_sweep_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_run_suites_rejects_bad_counts(self):
+        for n_max, samples in ((0, 10), (2.5, 10), (2, -5), (2, 1.5), (2, True)):
+            with pytest.raises(DomainError):
+                list(run_suites("monotonicity", n_max, samples, 0))
+
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch):
+        argv = ("verify", "--suite", "lemmas", "--n-max", "2", "--samples", "10")
+        code, _, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert "seed must be a nonnegative integer" in err
+        monkeypatch.setenv("SIGNSCHEMES_SEED", "-1")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "seed must be a nonnegative integer" in err
+
     def test_bad_environment_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("SIGNSCHEMES_SEED", "abc")
         code, _, err = run(capsys, "verify", "--suite", "lemmas", "--n-max", "2")

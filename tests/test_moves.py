@@ -21,10 +21,9 @@ from signschemes import (
     certificate_from_obj,
     certificate_to_json,
     certificate_to_obj,
-    flipped_positions,
+    check_certificate,
     generate_scheme,
     pattern_mismatch,
-    preconditions_hold,
 )
 
 TEST_SETTINGS = settings(max_examples=200, deadline=None)
@@ -109,12 +108,12 @@ def test_touched_positions_and_required_signs():
     sq = Move.square(1, 2, 3, 4)
     assert sq.touched_positions() == ((1, 3), (1, 4), (2, 3), (2, 4))
     assert sq.required_signs() == (MINUS, PLUS, PLUS, MINUS)
-    assert flipped_positions(sq) == frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
+    assert frozenset(sq.touched_positions()) == {(1, 3), (1, 4), (2, 3), (2, 4)}
 
 
 def test_apply_point():
     scheme = generate_scheme(FIVE)
-    assert preconditions_hold(scheme, Move.point(1, 1))
+    assert pattern_mismatch(scheme, Move.point(1, 1)) is None
     out = apply_move(scheme, Move.point(1, 1))
     assert out.sign(1, 1) == MINUS
     # only the touched position changed
@@ -141,7 +140,7 @@ def test_apply_square():
 def test_apply_square_on_five():
     scheme = generate_scheme(FIVE)
     mv = Move.square(3, 4, 4, 5)
-    assert preconditions_hold(scheme, mv)
+    assert pattern_mismatch(scheme, mv) is None
     out = apply_move(scheme, mv)
     for pos in mv.touched_positions():
         assert out.sign(*pos) == -scheme.sign(*pos)
@@ -229,9 +228,9 @@ def test_certificate_requires_moves():
 
 
 def test_touched_disjoint():
-    assert Certificate(WORKED, WORKED_MOVES).touched_disjoint()
+    assert check_certificate(WORKED, Certificate(WORKED, WORKED_MOVES)).disjoint
     clashing = Certificate((1, 1), (Move.point(1, 1), Move.point(1, 1)))
-    assert not clashing.touched_disjoint()
+    assert not check_certificate((1, 1), clashing).disjoint
 
 
 @TEST_SETTINGS
@@ -261,7 +260,7 @@ def test_applied_move_flips_exactly_touched(data):
                 candidates.append(Move.vertical(i, i2, j))
                 for j2 in range(j + 1, n + 1):
                     candidates.append(Move.square(i, i2, j, j2))
-    applicable = [m for m in candidates if preconditions_hold(scheme, m)]
+    applicable = [m for m in candidates if pattern_mismatch(scheme, m) is None]
     if not applicable:
         return
     mv = data.draw(st.sampled_from(applicable))

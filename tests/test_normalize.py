@@ -1,6 +1,7 @@
 """Certificate construction, the checker, and the step-by-step trace."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from signschemes import (
     reference_sign,
     render_trace,
     trace_build,
-    trace_to_json,
     trace_to_obj,
     wrong_set,
 )
@@ -152,11 +152,22 @@ def test_render_trace_golden():
 
 def test_trace_json_structure():
     steps = trace_build(WORKED)
-    obj = json.loads(trace_to_json(WORKED, steps))
+    obj = json.loads(json.dumps(trace_to_obj(WORKED, steps)))
     assert obj["eps"] == list(WORKED)
     assert obj["steps"][-1]["op"] == OP_LEVEL
     assert len(obj["steps"][-1]["moves"]) == len(WORKED_MOVES)
     assert trace_to_obj(WORKED, steps)["steps"][0]["level"] == 1
+
+
+def test_trace_lists_moves_only_on_level_steps():
+    rng = random.Random(64)
+    eps = tuple(rng.choice((PLUS, MINUS)) for _ in range(64))
+    steps = trace_build(eps)
+    assert all(s.moves == () for s in steps if s.op != OP_LEVEL)
+    assert _level_lists(steps)[64] == build_certificate(eps).moves
+    # O(n^2) bytes; a move list on every step would make it O(n^3), 4.3 MB
+    text = json.dumps(trace_to_obj(eps, steps), separators=(",", ":"))
+    assert len(text) < 600_000
 
 
 def test_checker_accepts_worked():

@@ -93,6 +93,18 @@ def test_sample_counts_must_be_nonnegative_integers():
             verify_monotonicity(2, samples_per_move=samples)
 
 
+def test_seed_must_be_a_nonnegative_integer():
+    for seed in (-1, 1.5, True):
+        for call in (
+            lambda: verify_bound(2, budget=10, seed=seed),
+            lambda: verify_identities(2, seed=seed),
+            lambda: verify_inequalities(10, seed=seed),
+            lambda: verify_monotonicity(2, samples_per_move=1, seed=seed),
+        ):
+            with pytest.raises(DomainError, match="seed"):
+                call()
+
+
 def _nan_batch(X):
     return np.full(np.shape(X)[0], np.nan)
 
