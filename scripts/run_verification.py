@@ -2,14 +2,16 @@
 """Run every corroboration suite at desk scale and report violations.
 
 Prints the same summary line per report as `signschemes verify`, each
-followed by the wall time of its stage.
+followed by the wall time of its stage. Exit codes as for the CLI: 0 no
+violations, 1 violations, 2 bad arguments or a refused run (one
+`error:` line on stderr).
 """
 
 import argparse
 import sys
 import time
 
-from signschemes.cli import run_suites
+from signschemes.cli import USAGE_ERRORS, run_suites
 
 
 def main() -> int:
@@ -21,10 +23,15 @@ def main() -> int:
 
     violations = 0
     t0 = time.perf_counter()
-    for name, rep in run_suites("all", args.n_max, args.samples, args.seed):
-        violations += len(getattr(rep, "violations", ()))
-        print(f"{name}: {rep.summary()} [{time.perf_counter() - t0:.1f}s]", flush=True)
-        t0 = time.perf_counter()
+    try:
+        for name, rep in run_suites("all", args.n_max, args.samples, args.seed):
+            violations += len(getattr(rep, "violations", ()))
+            stage_s = time.perf_counter() - t0
+            print(f"{name}: {rep.summary()} [{stage_s:.1f}s]", flush=True)
+            t0 = time.perf_counter()
+    except USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print("OK" if violations == 0 else f"{violations} violation(s)")
     return 0 if violations == 0 else 1

@@ -49,6 +49,15 @@ SEED_ENV = "SIGNSCHEMES_SEED"
 
 SUITES = ("lemmas", "monotonicity", "bound")
 
+# Typed errors that mean bad input or a refused run: exit code 2.
+USAGE_ERRORS = (
+    DomainError,
+    DimensionError,
+    TriangleIndexError,
+    InvalidMoveError,
+    ResourceLimitError,
+)
+
 # Tokens shaped like sign vectors, e.g. '-,-,-' or '-1,1' or '--+'.
 _DASH_VECTOR = re.compile(r"-[+\-01,\s]*")
 
@@ -274,13 +283,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        DomainError,
-        DimensionError,
-        TriangleIndexError,
-        InvalidMoveError,
-        ResourceLimitError,
-    ) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BoundViolationError, AlgorithmInvariantError) as exc:

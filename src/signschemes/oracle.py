@@ -7,6 +7,15 @@ monotonicity of rewrite moves along built certificates. The point is
 independence: these routines only use the evaluators and enumerate or
 sample, so they would catch a bug in the clever parts.
 
+The identity sweep works on blocks of sign vectors at once: it builds
+their schemes as one float tensor by running products of its own and
+checks every square, sum and parity cell with array operations. Every
+entry is +1, -1 or 0 and every sum a small integer, all exact in
+floats, and the float operations are the ones the batch evaluator
+already runs. Per dimension, the schemes of the first and last vector
+are compared with generate_scheme. A sweep that would check more than
+_SQUARE_CAP squares is refused before it starts (ResourceLimitError).
+
 All randomness comes from numpy's seeded generator; every report records
 the seed it was produced with.
 """
@@ -38,15 +47,20 @@ from .schemes import (
     PLUS,
     all_sign_vectors,
     generate_scheme,
-    horizontal_sum,
     is_reference,
-    square_sign_product,
-    vertical_sum,
-    wrong_counts,
 )
 
 _BATCH = 250_000
 _GRID_POINT_CAP = 40_000_000
+
+# verify_identities: every sign vector up to _EXHAUSTIVE_N, _POOL random
+# vectors per larger dimension, in blocks of 2^(n-4) vectors, at least 64
+# and at most _BLOCK (small blocks keep the arrays small where the sweep is
+# cheap anyway); at most _SQUARE_CAP squares per call.
+_EXHAUSTIVE_N = 16
+_BLOCK = 256
+_POOL = 512
+_SQUARE_CAP = 200_000_000
 
 
 def _check_count(name: str, value, least: int = 0) -> int:
@@ -283,59 +297,150 @@ class IdentityReport:
         )
 
 
+def _sign_tensor(E: np.ndarray) -> np.ndarray:
+    """The schemes of the (B, n) sign vectors E, as an (n, n, B) tensor.
+
+    Entry [i, j, b] is E[b, i] * ... * E[b, j] for i <= j, built by
+    running products along each row; entries below the diagonal are 0.
+    """
+    B, n = E.shape
+    cols = np.ascontiguousarray(E.T)
+    C = np.zeros((n, n, B))
+    for i in range(n):
+        np.multiply.accumulate(cols[i:], axis=0, out=C[i, i:])
+    return C
+
+
+def _cells(mask: np.ndarray):
+    """The index tuples of mask's true cells."""
+    return zip(*np.nonzero(mask))
+
+
+def _target_tensor(n: int) -> np.ndarray:
+    """The target scheme of size n as an (n, n, 1) tensor, 0 below the diagonal."""
+    rows = [
+        [0 if j < i else MINUS if (j - i) % 2 == 0 else PLUS for j in range(n)]
+        for i in range(n)
+    ]
+    return np.array(rows, dtype=float)[:, :, None]
+
+
+def _identity_violations(
+    C: np.ndarray, eps: list, target: np.ndarray
+) -> tuple[int, int, list[str]]:
+    """Check the identities on the scheme tensor C of the sign vectors eps.
+
+    target is _target_tensor(n). Returns the number of sum checks (one
+    per '-' entry), the number of parity checks (one per '-' entry with
+    i + j odd) and one message per failing cell. Every square of every
+    scheme is checked.
+    """
+    n, _, B = C.shape
+    messages = []
+    # Square (i,i2;j,j2) is A[i,j] * A[i,j2] with A = C[:i2] * C[i2] over
+    # j > i2. The entries are +-1, so all of these are +1 where A is
+    # constant along j; only a row i2 where it is not needs the products.
+    for i2 in range(1, n - 2):
+        A = C[:i2, i2 + 1 :] * C[i2, i2 + 1 :]
+        if np.count_nonzero(A[:, 1:] != A[:, :-1]):
+            for i, j, j2, b in _cells(A[:, :, None] * A[:, None] != PLUS):
+                if j < j2:
+                    messages.append(
+                        f"square product != +1 at ({i + 1},{i2 + 1};"
+                        f"{i2 + j + 2},{i2 + j2 + 2}) for {eps[b]}"
+                    )
+
+    # Row by row from the bottom. H[j] sums C[i,u] for i <= u < j; V and
+    # Vw hold the column sums of C and of its wrong entries over the rows
+    # below i, which give V[i,j] for i < v <= j. Wrong entries count with
+    # their sign: (C - target) / 2 is C where C differs from the target.
+    minus = C == MINUS
+    odd = minus & (target == PLUS)  # '-' entries with i + j odd
+    V, Vw = np.zeros((n, B)), np.zeros((n, B))
+    for i in range(n - 1, -1, -1):
+        row = C[i]
+        wrong = 0.5 * (row - target[i])
+        H = np.cumsum(row, axis=0) - row
+        Hw = np.cumsum(wrong, axis=0) - wrong
+        for j, b in _cells(minus[i] & (H + V != 0)):
+            messages.append(
+                f"row sum {int(H[j, b])} != -(column sum {int(V[j, b])}) "
+                f"at ({i + 1},{j + 1}) for {eps[b]}"
+            )
+        bad = odd[i] & ((V != 2 * Vw - 1) | (H != 2 * Hw - 1) | (Hw + Vw != 1))
+        for j, b in _cells(bad):
+            messages.append(
+                f"parity identity fails at ({i + 1},{j + 1}) for {eps[b]}: "
+                f"H={int(H[j, b])}, V={int(V[j, b])}, "
+                f"Hw={int(Hw[j, b])}, Vw={int(Vw[j, b])}"
+            )
+        V += row
+        Vw += wrong
+    sums, parity = int(np.count_nonzero(minus)), int(np.count_nonzero(odd))
+    return sums, parity, messages
+
+
 def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
     """Check the counting identities over all schemes up to n_max.
 
     Exhaustive over all 2^n sign vectors for n <= 16; beyond that each
-    dimension gets 512 random vectors instead.
+    dimension gets 512 random vectors instead. The vectors go in blocks
+    through _sign_tensor, which builds their schemes by its own running
+    products, and _identity_violations. For each dimension the first
+    and last scheme are also compared with generate_scheme.
+
+    Raises ResourceLimitError, before any work, when the sweep would
+    check more than _SQUARE_CAP (2e8) squares: n_max = 16 (1.9e8
+    squares, a few seconds) and n_max = 21 run, n_max = 22 does not.
     """
     n_max = _check_count("n_max", n_max, 1)
     rng = _rng(seed)
-    exhaustive = n_max <= 16
+    work = sum(
+        (2**n if n <= _EXHAUSTIVE_N else _POOL) * math.comb(n, 4)
+        for n in range(1, n_max + 1)
+    )
+    if work > _SQUARE_CAP:
+        raise ResourceLimitError(
+            f"verify_identities({n_max}) would check {work} squares, "
+            f"cap is {_SQUARE_CAP}"
+        )
     vectors = squares = sums = parity = 0
     violations: list[str] = []
     for n in range(1, n_max + 1):
-        if n <= 16:
+        if n <= _EXHAUSTIVE_N:
             pool = all_sign_vectors(n)
+            ends = [(PLUS,) * n, (MINUS,) * n]
         else:
-            pool = (
+            pool = [
                 tuple(int(v) for v in rng.choice((PLUS, MINUS), size=n))
-                for _ in range(512)
-            )
-        for eps in pool:
-            scheme = generate_scheme(eps)
-            vectors += 1
-            for i, i2, j, j2 in itertools.combinations(range(1, n + 1), 4):
-                squares += 1
-                if square_sign_product(scheme, i, i2, j, j2) != PLUS:
-                    violations.append(
-                        f"square product != +1 at ({i},{i2};{j},{j2}) for {eps}"
-                    )
-            for i, j in scheme.positions():
-                if scheme.sign(i, j) != MINUS:
-                    continue
-                h = horizontal_sum(scheme, i, j)
-                v = vertical_sum(scheme, i, j)
-                sums += 1
-                if h != -v:
-                    violations.append(
-                        f"row sum {h} != -(column sum {v}) at ({i},{j}) for {eps}"
-                    )
-                if (i + j) % 2 == 1:
-                    parity += 1
-                    w = wrong_counts(scheme, i, j)
-                    if v != 2 * w.v - 1 or h != 2 * w.h - 1 or w.h + w.v != 1:
-                        violations.append(
-                            f"parity identity fails at ({i},{j}) for {eps}: "
-                            f"H={h}, V={v}, Hw={w.h}, Vw={w.v}"
-                        )
+                for _ in range(_POOL)
+            ]
+            ends = [pool[0], pool[-1]]
+        C = _sign_tensor(np.array(ends, dtype=float))
+        for b, eps in enumerate(ends):
+            rows = generate_scheme(eps).rows
+            if any(C[i, i:, b].tolist() != list(r) for i, r in enumerate(rows)):
+                violations.append(
+                    f"sign tensor differs from generate_scheme for {eps}"
+                )
+        pool = iter(pool)
+        target = _target_tensor(n)
+        size = min(_BLOCK, max(64, 2 ** (n - 4)))
+        while block := list(itertools.islice(pool, size)):
+            C = _sign_tensor(np.array(block, dtype=float))
+            block_sums, block_parity, found = _identity_violations(C, block, target)
+            vectors += len(block)
+            squares += len(block) * math.comb(n, 4)
+            sums += block_sums
+            parity += block_parity
+            violations += found
     return IdentityReport(
         n_max=n_max,
         vectors_checked=vectors,
         squares_checked=squares,
         sums_checked=sums,
         parity_checked=parity,
-        exhaustive=exhaustive,
+        exhaustive=n_max <= _EXHAUSTIVE_N,
         seed=seed,
         violations=tuple(sorted(violations)),
     )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from signschemes import oracle
 from signschemes.cli import main, run_suites
 from signschemes.errors import DomainError
 from signschemes.moves import Certificate, Move, certificate_to_json
@@ -268,6 +269,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_identity_sweep_over_cap_is_usage_error(self, capsys, monkeypatch):
+        # refused before the first scheme is built, so the run ends at once
+        def no_work(eps):
+            raise AssertionError("verify_identities started work")
+
+        monkeypatch.setattr(oracle, "generate_scheme", no_work)
+        code, out, err = run(capsys, "verify", "--suite", "lemmas", "--n-max", "60")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: verify_identities(60) would check")
 
     def test_run_suites_rejects_bad_counts(self):
         for n_max, samples in ((0, 10), (2.5, 10), (2, -5), (2, 1.5), (2, True)):

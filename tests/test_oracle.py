@@ -210,6 +210,33 @@ def test_identities_one_dim_vacuous():
     assert rep.violations == ()
 
 
+def test_identities_closed_form_n12():
+    rep = verify_identities(12)
+    assert rep.vectors_checked == 2**13 - 2 == 8_190
+    assert rep.squares_checked == sum(2**n * _choose4(n) for n in range(1, 13))
+    assert rep.exhaustive and rep.violations == ()
+
+
+def _no_work(eps):
+    raise AssertionError(f"a scheme was generated for {eps}")
+
+
+def test_identities_refuse_over_cap_before_any_work(monkeypatch):
+    monkeypatch.setattr(oracle, "generate_scheme", _no_work)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        verify_identities(60)
+
+
+def test_identities_cap_counts_squares(monkeypatch):
+    # n_max = 8 checks exactly this many squares; one more dimension is refused
+    cap = sum(2**n * _choose4(n) for n in range(9))
+    monkeypatch.setattr(oracle, "_SQUARE_CAP", cap)
+    assert verify_identities(8).squares_checked == oracle._SQUARE_CAP
+    monkeypatch.setattr(oracle, "generate_scheme", _no_work)
+    with pytest.raises(ResourceLimitError):
+        verify_identities(9)
+
+
 def test_identities_rejects_bad_n_max():
     with pytest.raises(DomainError):
         verify_identities(0)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from signschemes.cli import run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +36,14 @@ def test_run_verification_prints_one_summary_per_report():
     assert len(lines) == len(expected) + 1
     for line, want in zip(lines, expected):
         assert re.fullmatch(r"(.*) \[\d+\.\ds\]", line).group(1) == want
+
+
+@pytest.mark.parametrize("argv", [("--seed", "-1"), ("--n-max", "0")])
+def test_run_verification_usage_errors_exit_2(argv):
+    proc = run_script("run_verification.py", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
 def test_worked_example_is_accepted():
