@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .errors import DomainError
 
@@ -59,6 +60,11 @@ class BoundResult:
     comparison_additive: float
 
 
+def _check_positive(name: str, value) -> None:
+    if not (isinstance(value, Real) and 0 < value < math.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 def discriminant_bound(n: int, regulator: float, gamma: float | None = None) -> BoundResult:
     """Upper bound on log|d| for degree n and regulator R.
 
@@ -70,8 +76,7 @@ def discriminant_bound(n: int, regulator: float, gamma: float | None = None) -> 
         raise DomainError(f"degree must be an integer, got {n!r}")
     if n < 2:
         raise DomainError(f"degree must be at least 2, got {n}")
-    if not 0 < regulator < math.inf:
-        raise DomainError(f"regulator must be positive and finite, got {regulator}")
+    _check_positive("regulator", regulator)
     from_table = gamma is None
     if from_table:
         if n - 1 > HERMITE_MAX_RANK:
@@ -80,8 +85,8 @@ def discriminant_bound(n: int, regulator: float, gamma: float | None = None) -> 
                 f"pass gamma explicitly"
             )
         gamma = hermite_constant(n - 1)
-    elif not 0 < gamma < math.inf:
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    else:
+        _check_positive("gamma", gamma)
     main = math.sqrt(gamma * (n**3 - n) / 3) * (math.sqrt(n) * regulator) ** (
         1.0 / (n - 1)
     )

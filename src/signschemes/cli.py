@@ -12,6 +12,7 @@ certificate, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -36,6 +37,7 @@ from .normalize import (
     trace_to_obj,
 )
 from .oracle import (
+    MONOTONICITY_N_MAX,
     _check_count,
     report_to_json,
     verify_bound,
@@ -141,7 +143,7 @@ def run_suites(suite: str, n_max: int, samples: int, seed: int):
     """Yield (name, report) per run of suite (one of SUITES, or "all").
 
     lemmas: identities up to n_max, inequalities on samples points.
-    monotonicity: up to min(n_max, 8), max(10, samples // 100) per move.
+    monotonicity: to min(n_max, MONOTONICITY_N_MAX), max(10, samples // 100) per move.
     bound: one report per dimension up to n_max, budget samples each.
     """
     if suite != "all" and suite not in SUITES:
@@ -153,7 +155,7 @@ def run_suites(suite: str, n_max: int, samples: int, seed: int):
         yield "inequalities", verify_inequalities(samples, seed=seed)
     if suite in ("monotonicity", "all"):
         yield "monotonicity", verify_monotonicity(
-            min(n_max, 8), samples_per_move=max(10, samples // 100), seed=seed
+            min(n_max, MONOTONICITY_N_MAX), max(10, samples // 100), seed
         )
     if suite in ("bound", "all"):
         for n in range(1, n_max + 1):
@@ -178,7 +180,7 @@ def _cmd_verify(args) -> int:
         obj = {
             "seed": seed,
             "reports": [
-                {"suite": name, **json.loads(report_to_json(rep))}
+                {"suite": name, **dataclasses.asdict(rep)}
                 for name, rep in named_reports
             ],
             "violations": len(violations),

@@ -40,7 +40,7 @@ from .schemes import MINUS, PLUS, Scheme
 FACTOR_TOL = 1e-12
 PRODUCT_TOL = 1e-9
 
-_EDGE_SLACK = 1e-15
+_EDGE = 1 + 1e-15  # the edges +-1, widened by roundoff slack
 CHUNK = 8192  # rows per block of the batch kernel
 
 
@@ -58,25 +58,29 @@ def _coords(point, exact: bool) -> tuple:
     return coords
 
 
-def _check_x(coords) -> None:
+def _in_cube(coords, lo: int) -> tuple:
+    """coords, each checked to be a number in [lo, 1] up to roundoff at +-1."""
     for c in coords:
-        if not (-1 - _EDGE_SLACK <= c <= 1 + _EDGE_SLACK):
-            raise DomainError(f"coordinate {c!r} outside [-1, 1]")
+        inside = False
+        with suppress(TypeError, ValueError):
+            inside = lo * _EDGE <= c <= _EDGE
+        if not inside:
+            raise DomainError(f"coordinate {c!r} outside [{lo}, 1]")
+    return coords
 
 
-def _check_z(coords) -> None:
-    for c in coords:
-        if not (0 <= c <= 1 + _EDGE_SLACK):
-            raise DomainError(f"coordinate {c!r} outside [0, 1]")
-
-
-def _check_y(coords) -> None:
+def _increasing(coords) -> tuple:
+    """coords, checked to be numbers with 0 < |c_1| < ... < |c_n| < inf."""
     prev = 0
     for c in coords:
-        mag = abs(c)
-        if not prev < mag < np.inf:
+        ok = False
+        with suppress(TypeError, ValueError):
+            mag = abs(c)
+            ok = prev < mag < np.inf
+        if not ok:
             raise DomainError("ratio-product input needs 0 < |y_1| < ... < |y_n| < inf")
         prev = mag
+    return coords
 
 
 def eval_p(y, exact: bool = False):
@@ -84,8 +88,7 @@ def eval_p(y, exact: bool = False):
 
     Requires 0 < |y_1| < ... < |y_n|; every factor then lies in (0, 2).
     """
-    coords = _coords(y, exact)
-    _check_y(coords)
+    coords = _increasing(_coords(y, exact))
     n = len(coords)
     total = Fraction(1) if exact else 1.0
     for j in range(1, n):
@@ -96,8 +99,7 @@ def eval_p(y, exact: bool = False):
 
 def change_of_variables(y) -> tuple:
     """Consecutive ratios x_i = y_i / y_{i+1}; each |x_i| < 1."""
-    coords = _coords(y, exact=False)
-    _check_y(coords)
+    coords = _increasing(_coords(y, exact=False))
     if len(coords) < 2:
         raise DimensionError("need at least two entries to form ratios")
     return tuple(coords[i] / coords[i + 1] for i in range(len(coords) - 1))
@@ -117,8 +119,7 @@ def _product(coords, rows, exact: bool):
 
 
 def _scheme_coords(scheme: Scheme, z, exact: bool) -> tuple:
-    coords = _coords(z, exact)
-    _check_z(coords)
+    coords = _in_cube(_coords(z, exact), 0)
     if len(coords) != scheme.n:
         raise DimensionError(
             f"point has dimension {len(coords)}, scheme has {scheme.n}"
@@ -128,9 +129,7 @@ def _scheme_coords(scheme: Scheme, z, exact: bool) -> tuple:
 
 def eval_q(x, exact: bool = False):
     """The cube product prod_{i<=j} (1 - x_i x_{i+1} ... x_j) on [-1, 1]^n."""
-    coords = _coords(x, exact)
-    _check_x(coords)
-    return _product(coords, None, exact)
+    return _product(_in_cube(_coords(x, exact), -1), None, exact)
 
 
 def eval_factor(scheme: Scheme, z, i: int, j: int, exact: bool = False):
@@ -158,8 +157,7 @@ def chamber_of(x) -> tuple[tuple[int, ...], tuple]:
     The identity eval_q(x) == eval_f(generate_scheme(eps), z) holds
     bit-for-bit in floats: both sides multiply the same numbers.
     """
-    coords = _coords(x, exact=False)
-    _check_x(coords)
+    coords = _in_cube(_coords(x, exact=False), -1)
     eps = tuple(PLUS if c >= 0 else MINUS for c in coords)
     z = tuple(abs(c) for c in coords)
     return eps, z
@@ -186,38 +184,57 @@ def _product_batch(X: np.ndarray, rows) -> np.ndarray:
     return out
 
 
+def _batch(X, lo: int, n: int | None = None) -> np.ndarray:
+    """X as an (m, n) float array in [lo, 1]^n; n=None takes any n >= 1."""
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("batch contains entries that are not numbers") from None
+    if X.ndim != 2 or X.shape[1] == 0 or n not in (None, X.shape[1]):
+        raise DimensionError(f"expected shape (m, {n or 'n'}), got {X.shape}")
+    if X.size and not (lo * _EDGE <= X.min() and X.max() <= _EDGE):
+        raise DomainError(
+            f"batch contains coordinates outside [{lo}, 1] or not finite"
+        )
+    return X
+
+
 def eval_q_batch(X) -> np.ndarray:
     """Cube product for every row of an (m, n) float array in [-1, 1]^n."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise DimensionError(f"expected a 2-d array of points, got shape {X.shape}")
-    if X.size and not (-1 - _EDGE_SLACK <= X.min() and X.max() <= 1 + _EDGE_SLACK):
-        raise DomainError("batch contains coordinates outside [-1, 1] or not finite")
-    return _product_batch(X, None)
+    return _product_batch(_batch(X, -1), None)
 
 
 def eval_f_batch(scheme: Scheme, Z) -> np.ndarray:
     """Scheme product for every row of an (m, n) float array in [0,1]^n."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] != scheme.n:
-        raise DimensionError(f"expected shape (m, {scheme.n}), got {Z.shape}")
-    if Z.size and not (0 <= Z.min() and Z.max() <= 1 + _EDGE_SLACK):
-        raise DomainError("batch contains coordinates outside [0, 1] or not finite")
-    return _product_batch(Z, scheme.rows)
+    return _product_batch(_batch(Z, 0, scheme.n), scheme.rows)
 
 
-# The four core inequalities on [0,1]. Each compares products of factors
-# (1 +- t) where t is a product of the variables. Ids name the shape:
-# how many factors on the left, and what bounds them.
-#
-#   pair_one    (1-x)(1+xy) <= 1
-#   pair_swap   (1-x)(1+xy) <= (1+x)(1-xy)
-#   quad_swap   (1-y)(1+xy)(1+yz)(1-xyz) <= (1+y)(1-xy)(1-yz)(1+xyz)
-#   quad_one    (1-y)(1+xy)(1+yz)(1-xyz) <= 1
-#
-# For quad_swap the gap factors exactly: rhs - lhs = 2y(1-x)(1-z)(1+xy^2z),
-# manifestly nonnegative on the cube. pair_one and pair_swap ignore z.
-FACTOR_INEQUALITIES = ("pair_one", "pair_swap", "quad_swap", "quad_one")
+# The four core inequalities on [0,1]: the sides (lhs, rhs) of each, in
+# plain arithmetic, so numbers, Fractions and numpy arrays all work. Each
+# compares products of factors (1 +- t) where t is a product of the
+# variables. Ids name the shape: how many factors on the left, and what
+# bounds them. pair_one and pair_swap ignore z.
+INEQUALITY_SIDES = {
+    "pair_one": lambda x, y, z: ((1 - x) * (1 + x * y), 1),
+    "pair_swap": lambda x, y, z: ((1 - x) * (1 + x * y), (1 + x) * (1 - x * y)),
+    "quad_swap": lambda x, y, z: (
+        (1 - y) * (1 + x * y) * (1 + y * z) * (1 - x * y * z),
+        (1 + y) * (1 - x * y) * (1 - y * z) * (1 + x * y * z),
+    ),
+    "quad_one": lambda x, y, z: (
+        (1 - y) * (1 + x * y) * (1 + y * z) * (1 - x * y * z),
+        1,
+    ),
+}
+FACTOR_INEQUALITIES = tuple(INEQUALITY_SIDES)
+
+
+def quad_swap_residual(x, y, z):
+    """quad_swap's gap rhs - lhs minus its factored form 2y(1-x)(1-z)(1+xy^2z).
+
+    Zero up to roundoff: the gap factors exactly, so it is nonnegative."""
+    lhs, rhs = INEQUALITY_SIDES["quad_swap"](x, y, z)
+    return (rhs - lhs) - 2 * y * (1 - x) * (1 - z) * (1 + x * y * y * z)
 
 
 @dataclass(frozen=True)
@@ -233,27 +250,13 @@ def check_factor_inequality(which: str, x, y, z=0) -> InequalityCheck:
     """Evaluate one of the four core inequalities at a point of [0,1]^3.
 
     holds is lhs <= rhs + FACTOR_TOL. For quad_swap the result also
-    carries the residual (rhs - lhs) - 2y(1-x)(1-z)(1+x y^2 z), which is
-    identically zero up to roundoff.
+    carries quad_swap_residual, which is identically zero up to roundoff.
 
     Exact inputs (ints, Fractions) are evaluated exactly.
     """
-    if which not in FACTOR_INEQUALITIES:
+    if which not in INEQUALITY_SIDES:
         raise DomainError(f"unknown inequality {which!r}")
-    for name, v in (("x", x), ("y", y), ("z", z)):
-        if not (0 <= v <= 1 + _EDGE_SLACK):
-            raise DomainError(f"{name}={v!r} outside [0, 1]")
-    pair_lhs = (1 - x) * (1 + x * y)
-    residual = None
-    if which == "pair_one":
-        lhs, rhs = pair_lhs, 1
-    elif which == "pair_swap":
-        lhs, rhs = pair_lhs, (1 + x) * (1 - x * y)
-    else:
-        lhs = (1 - y) * (1 + x * y) * (1 + y * z) * (1 - x * y * z)
-        if which == "quad_one":
-            rhs = 1
-        else:
-            rhs = (1 + y) * (1 - x * y) * (1 - y * z) * (1 + x * y * z)
-            residual = (rhs - lhs) - 2 * y * (1 - x) * (1 - z) * (1 + x * y * y * z)
+    _in_cube((x, y, z), 0)
+    lhs, rhs = INEQUALITY_SIDES[which](x, y, z)
+    residual = quad_swap_residual(x, y, z) if which == "quad_swap" else None
     return InequalityCheck(which, lhs, rhs, lhs <= rhs + FACTOR_TOL, residual)

@@ -13,8 +13,11 @@ checks every square, sum and parity cell with array operations. Every
 entry is +1, -1 or 0 and every sum a small integer, all exact in
 floats, and the float operations are the ones the batch evaluator
 already runs. Per dimension, the schemes of the first and last vector
-are compared with generate_scheme. A sweep that would check more than
-_SQUARE_CAP squares is refused before it starts (ResourceLimitError).
+are compared with generate_scheme.
+
+Every suite refuses, before it starts, a run whose estimated work is
+over its cap (_check_cap, ResourceLimitError): identity squares, grid
+points, the monotonicity dimension, or the floats a sampled suite draws.
 
 All randomness comes from numpy's seeded generator; every report records
 the seed it was produced with.
@@ -27,18 +30,21 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import BoundViolationError, DomainError, ResourceLimitError
 from .evaluate import (
+    FACTOR_INEQUALITIES,
     FACTOR_TOL,
+    INEQUALITY_SIDES,
     PRODUCT_TOL,
     check_factor_inequality,
     eval_f_batch,
     eval_q,
     eval_q_batch,
+    quad_swap_residual,
 )
 from .moves import apply_move
 from .normalize import build_certificate
@@ -52,6 +58,11 @@ from .schemes import (
 
 _BATCH = 250_000
 _GRID_POINT_CAP = 40_000_000
+# Floats a sampled suite draws into one array (80 MB): the points of
+# verify_inequalities, one move's z-samples, one batch of verify_bound.
+_FLOAT_CAP = 10_000_000
+# verify_monotonicity sweeps every sign vector, so it stops at this n.
+MONOTONICITY_N_MAX = 8
 
 # verify_identities: every sign vector up to _EXHAUSTIVE_N, _POOL random
 # vectors per larger dimension, in blocks of 2^(n-4) vectors, at least 64
@@ -74,6 +85,12 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(_check_count("seed", seed))
 
 
+def _check_cap(work: int, cap: int, what: str) -> None:
+    """Refuse a run, before it starts, whose estimated work exceeds cap."""
+    if work > cap:
+        raise ResourceLimitError(f"{what}, cap is {cap}")
+
+
 def _top(vals, X, limit, bound, where: str) -> tuple[int, float]:
     """Index and value of the largest cube-product value in a batch.
 
@@ -84,7 +101,7 @@ def _top(vals, X, limit, bound, where: str) -> tuple[int, float]:
     top = float(vals[idx])
     if not top <= limit:
         raise BoundViolationError(
-            f"{where} point {tuple(X[idx])} gives {top} > bound {bound}"
+            f"{where} point {tuple(X[idx].tolist())} gives {top} > bound {bound}"
         )
     return idx, top
 
@@ -147,6 +164,10 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     """
     budget = _check_count("budget", budget)
     bound = qmax_bound(n)
+    rounds = 20
+    starts = max(1, budget // (2 * rounds * n))
+    floats = n * max(min(budget, _BATCH), starts)
+    _check_cap(floats, _FLOAT_CAP, f"verify_bound would draw {floats} floats")
     candidates = candidate_maximizers(n)
     for cand in candidates:
         val = eval_q(cand, exact=True)
@@ -169,11 +190,9 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
         evaluations += m
         idx, top = _top(vals, X, limit, bound, "random")
         if top > best_value:
-            best_value, best_point, method = top, tuple(X[idx]), "random"
+            best_value, best_point, method = top, tuple(X[idx].tolist()), "random"
         remaining -= m
 
-    rounds = 20
-    starts = max(1, budget // (2 * rounds * n))
     P = rng.uniform(-1.0, 1.0, size=(starts, n))
     vals = eval_q_batch(P)
     _top(vals, P, limit, bound, "ascent")
@@ -194,7 +213,8 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     idx = int(np.argmax(vals))
     top = float(vals[idx])
     if top > best_value:
-        best_value, best_point, method = top, tuple(P[idx]), "coordinate-ascent"
+        best_value, best_point = top, tuple(P[idx].tolist())
+        method = "coordinate-ascent"
 
     return MaxReport(
         n=n,
@@ -219,18 +239,13 @@ def grid_max(n: int, step: float) -> MaxReport:
     family are returned as findings, not failures.
     """
     n = _check_count("dimension", n, 1)
-    if not math.isfinite(step) or step <= 0:
-        raise DomainError(f"step must be positive and finite, got {step}")
+    if not (isinstance(step, Real) and 0 < step < math.inf):
+        raise DomainError(f"step must be positive and finite, got {step!r}")
     m = round(1.0 / step)
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1 evenly")
-    if step <= 0.1 + 1e-12 and n > 6:
-        raise ResourceLimitError(f"grid with step {step} is limited to n <= 6")
     total = (2 * m + 1) ** n
-    if total > _GRID_POINT_CAP:
-        raise ResourceLimitError(
-            f"grid would have {total} points, cap is {_GRID_POINT_CAP}"
-        )
+    _check_cap(total, _GRID_POINT_CAP, f"grid would have {total} points")
     g = np.array([k / m for k in range(-m, m + 1)])
     bound = qmax_bound(n)
     limit = bound + PRODUCT_TOL
@@ -250,10 +265,9 @@ def grid_max(n: int, step: float) -> MaxReport:
         evaluations += X.shape[0]
         idx, top = _top(vals, X, limit, bound, "grid")
         if top > best_value:
-            best_value, best_point = top, tuple(float(c) for c in X[idx])
-        for row in np.nonzero(vals >= near)[0]:
-            attainers.append(tuple(float(c) for c in X[row]))
-    known = {tuple(float(c) for c in p) for p in candidate_maximizers(n)}
+            best_value, best_point = top, tuple(X[idx].tolist())
+        attainers += map(tuple, X[vals >= near].tolist())
+    known = set(candidate_maximizers(n))
     findings = tuple(p for p in attainers if p not in known)
     return MaxReport(
         n=n,
@@ -316,24 +330,15 @@ def _cells(mask: np.ndarray):
     return zip(*np.nonzero(mask))
 
 
-def _target_tensor(n: int) -> np.ndarray:
-    """The target scheme of size n as an (n, n, 1) tensor, 0 below the diagonal."""
-    rows = [
-        [0 if j < i else MINUS if (j - i) % 2 == 0 else PLUS for j in range(n)]
-        for i in range(n)
-    ]
-    return np.array(rows, dtype=float)[:, :, None]
-
-
 def _identity_violations(
     C: np.ndarray, eps: list, target: np.ndarray
 ) -> tuple[int, int, list[str]]:
     """Check the identities on the scheme tensor C of the sign vectors eps.
 
-    target is _target_tensor(n). Returns the number of sum checks (one
-    per '-' entry), the number of parity checks (one per '-' entry with
-    i + j odd) and one message per failing cell. Every square of every
-    scheme is checked.
+    target is the target scheme's tensor, that of the all-minus vector.
+    Returns the number of sum checks (one per '-' entry), the number of
+    parity checks (one per '-' entry with i + j odd) and one message per
+    failing cell. Every square of every scheme is checked.
     """
     n, _, B = C.shape
     messages = []
@@ -399,11 +404,9 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
         (2**n if n <= _EXHAUSTIVE_N else _POOL) * math.comb(n, 4)
         for n in range(1, n_max + 1)
     )
-    if work > _SQUARE_CAP:
-        raise ResourceLimitError(
-            f"verify_identities({n_max}) would check {work} squares, "
-            f"cap is {_SQUARE_CAP}"
-        )
+    _check_cap(
+        work, _SQUARE_CAP, f"verify_identities({n_max}) would check {work} squares"
+    )
     vectors = squares = sums = parity = 0
     violations: list[str] = []
     for n in range(1, n_max + 1):
@@ -424,7 +427,7 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
                     f"sign tensor differs from generate_scheme for {eps}"
                 )
         pool = iter(pool)
-        target = _target_tensor(n)
+        target = _sign_tensor(np.full((1, n), float(MINUS)))
         size = min(_BLOCK, max(64, 2 ** (n - 4)))
         while block := list(itertools.islice(pool, size)):
             C = _sign_tensor(np.array(block, dtype=float))
@@ -474,35 +477,27 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
     factored form, which must stay at roundoff level.
     """
     samples = _check_count("samples", samples)
+    floats = 3 * samples
+    _check_cap(floats, _FLOAT_CAP, f"verify_inequalities would draw {floats} floats")
     rng = _rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(samples, 3))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    pair_lhs = (1 - x) * (1 + x * y)
-    quad_lhs = (1 - y) * (1 + x * y) * (1 + y * z) * (1 - x * y * z)
-    quad_rhs = (1 + y) * (1 - x * y) * (1 - y * z) * (1 + x * y * z)
-    sides = {
-        "pair_one": (pair_lhs, np.ones_like(x)),
-        "pair_swap": (pair_lhs, (1 + x) * (1 - x * y)),
-        "quad_swap": (quad_lhs, quad_rhs),
-        "quad_one": (quad_lhs, np.ones_like(x)),
-    }
     violations: list[str] = []
-    checked = 0
-    for which, (lhs, rhs) in sides.items():
-        checked += samples
+    for which, sides in INEQUALITY_SIDES.items():
+        lhs, rhs = np.broadcast_arrays(*sides(x, y, z))
         bad = np.nonzero(lhs > rhs + FACTOR_TOL)[0]
         for idx in bad[:10]:
             violations.append(
-                f"{which} fails at {tuple(pts[idx])}: "
+                f"{which} fails at {tuple(pts[idx].tolist())}: "
                 f"{float(lhs[idx])} > {float(rhs[idx])}"
             )
-    residual = (quad_rhs - quad_lhs) - 2 * y * (1 - x) * (1 - z) * (1 + x * y * y * z)
+    residual = quad_swap_residual(x, y, z)
     max_residual = float(np.max(np.abs(residual))) if samples else 0.0
     if max_residual > FACTOR_TOL:
         violations.append(f"quad_swap gap factorization off by {max_residual}")
     corner_checks = 0
     for cx, cy, cz in itertools.product((0, 1), repeat=3):
-        for which in sides:
+        for which in FACTOR_INEQUALITIES:
             corner_checks += 1
             res = check_factor_inequality(which, cx, cy, cz)
             if not res.holds:
@@ -510,7 +505,7 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
                     f"{which} fails at corner ({cx},{cy},{cz}): "
                     f"{res.lhs} > {res.rhs}"
                 )
-            if res.residual is not None and res.residual != 0:
+            if res.residual:
                 violations.append(
                     f"quad_swap gap factorization off at corner "
                     f"({cx},{cy},{cz}): {res.residual}"
@@ -518,7 +513,7 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
     return InequalityReport(
         samples=samples,
         seed=seed,
-        checked=checked,
+        checked=samples * len(INEQUALITY_SIDES),
         corner_checks=corner_checks,
         max_residual=max_residual,
         violations=tuple(sorted(violations)),
@@ -555,11 +550,10 @@ def verify_monotonicity(
     the pre-move scheme stays <= 1 up to FACTOR_TOL.
     """
     n_max = _check_count("n_max", n_max, 1)
-    if n_max > 8:
-        raise ResourceLimitError(
-            f"exhaustive sweep is limited to n_max <= 8, got {n_max}"
-        )
+    _check_cap(n_max, MONOTONICITY_N_MAX, f"exhaustive sweep to n_max={n_max}")
     samples_per_move = _check_count("samples_per_move", samples_per_move)
+    floats = n_max * samples_per_move
+    _check_cap(floats, _FLOAT_CAP, f"verify_monotonicity would draw {floats} floats")
     rng = _rng(seed)
     certificates = moves_checked = 0
     violations: list[str] = []
@@ -588,7 +582,8 @@ def verify_monotonicity(
                 drop = np.nonzero(~(f_before <= f_after + PRODUCT_TOL))[0]
                 for idx in drop[:10]:
                     violations.append(
-                        f"F decreased across {move} on {eps} at z={tuple(Z[idx])}: "
+                        f"F decreased across {move} on {eps} "
+                        f"at z={tuple(Z[idx].tolist())}: "
                         f"{float(f_before[idx])} > {float(f_after[idx])}"
                     )
                 scheme = after
@@ -606,14 +601,4 @@ def verify_monotonicity(
 
 def report_to_json(report) -> str:
     """JSON for any of the report dataclasses, field order preserved."""
-
-    def convert(v):
-        if isinstance(v, tuple):
-            return [convert(x) for x in v]
-        return v
-
-    obj = {
-        f.name: convert(getattr(report, f.name))
-        for f in dataclasses.fields(report)
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(dataclasses.asdict(report), separators=(",", ":"))

@@ -201,10 +201,7 @@ def wrong_set(scheme: Scheme) -> frozenset[tuple[int, int]]:
 
 
 def is_reference(scheme: Scheme) -> bool:
-    for i, j in scheme.positions():
-        if scheme.sign(i, j) != reference_sign(i, j):
-            return False
-    return True
+    return not wrong_set(scheme)
 
 
 def horizontal_sum(scheme: Scheme, i: int, j: int) -> int:

@@ -83,6 +83,14 @@ def test_input_validation():
         discriminant_bound(2, 1.0, math.inf)
     with pytest.raises(DomainError):
         discriminant_bound(10, 1.0)
+    # non-numbers would make the range comparison raise TypeError
+    for bad in ("1", 1j, [1.0]):
+        with pytest.raises(DomainError, match="regulator"):
+            discriminant_bound(3, bad)
+        with pytest.raises(DomainError, match="gamma"):
+            discriminant_bound(3, 1.0, bad)
+    with pytest.raises(DomainError, match="regulator"):
+        discriminant_bound(3, None)
     assert discriminant_bound(10, 1.0, 3.0).degree == 10
 
 

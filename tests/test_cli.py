@@ -281,6 +281,24 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: verify_identities(60) would check")
 
+    @pytest.mark.parametrize(
+        "suite,text",
+        [
+            ("lemmas", "verify_inequalities would draw 300000 floats"),
+            ("monotonicity", "verify_monotonicity would draw 2000 floats"),
+            ("bound", "verify_bound would draw 100000 floats"),
+        ],
+    )
+    def test_sampled_suite_over_cap_is_usage_error(
+        self, capsys, monkeypatch, suite, text
+    ):
+        monkeypatch.setattr(oracle, "_FLOAT_CAP", 99)
+        argv = ("verify", "--suite", suite, "--n-max", "2", "--samples", "100000")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {text}, cap is 99\n"
+
     def test_run_suites_rejects_bad_counts(self):
         for n_max, samples in ((0, 10), (2.5, 10), (2, -5), (2, 1.5), (2, True)):
             with pytest.raises(DomainError):

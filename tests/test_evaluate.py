@@ -54,6 +54,12 @@ def test_eval_p_domain_errors():
     for bad in ((0, 1), (1, -1), (2, 1), (1, 1)):
         with pytest.raises(DomainError):
             eval_p(bad)
+    # float mode: abs() or the comparison would raise TypeError/ValueError
+    for bad in (("a", 1.0), (None, 2.0), ([0.5], 1.0), (0.5, np.array([1.0, 2.0]))):
+        with pytest.raises(DomainError):
+            eval_p(bad)
+        with pytest.raises(DomainError):
+            change_of_variables(bad)
     with pytest.raises(DimensionError):
         eval_p(())
 
@@ -160,6 +166,12 @@ def test_batch_domain_checks():
         eval_f_batch(reference_scheme(2), np.array([[0.5, -0.5]]))
     with pytest.raises(DimensionError):
         eval_f_batch(reference_scheme(2), np.array([[0.5]]))
+    # entries numpy cannot convert to float: strings, ragged rows, complex
+    for bad in ([["a", 0.5]], [[0.5, 0.5], [0.5]], [[0.5, 1j]]):
+        with pytest.raises(DomainError):
+            eval_q_batch(bad)
+        with pytest.raises(DomainError):
+            eval_f_batch(reference_scheme(2), bad)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -194,6 +206,14 @@ def test_exact_mode_rejects_non_numbers():
             eval_f(generate_scheme((1,) * len(x)), x, exact=True)
     # Fractions, ints and bools still convert exactly
     assert eval_q((Fraction(1, 2), True), exact=True) == eval_q((0.5, 1), exact=True)
+    # float mode: the range comparison would raise TypeError/ValueError
+    for x in (("0.5",), (None,), ([0.5],), (0.5, 1j), (np.array([0.1, 0.2]),)):
+        with pytest.raises(DomainError):
+            eval_q(x)
+        with pytest.raises(DomainError):
+            eval_f(generate_scheme((1,) * len(x)), x)
+        with pytest.raises(DomainError):
+            chamber_of(x)
 
 
 def test_inequality_ids():
@@ -234,6 +254,9 @@ def test_inequality_errors():
         check_factor_inequality("pair_one", 1.5, 0)
     with pytest.raises(DomainError):
         check_factor_inequality("quad_swap", 0, 0, -0.1)
+    for bad in ("0.5", None, 1j):
+        with pytest.raises(DomainError):
+            check_factor_inequality("pair_one", bad, 0)
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

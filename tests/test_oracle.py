@@ -1,6 +1,7 @@
 """Sampling and brute-force corroboration routines."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from signschemes import (
     DomainError,
     ResourceLimitError,
     candidate_maximizers,
+    check_factor_inequality,
     eval_q,
     grid_max,
     qmax_bound,
@@ -19,7 +21,7 @@ from signschemes import (
     verify_inequalities,
     verify_monotonicity,
 )
-from signschemes import oracle
+from signschemes import evaluate, oracle
 
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 8), (10, 32)])
@@ -111,17 +113,20 @@ def _nan_batch(X):
 
 def test_verify_bound_flags_nan_evaluator(monkeypatch):
     monkeypatch.setattr(oracle, "eval_q_batch", _nan_batch)
-    with pytest.raises(BoundViolationError):
+    with pytest.raises(BoundViolationError, match=r"random point \(-?0\.") as exc:
         verify_bound(3, budget=1000)
+    assert "np.float64" not in str(exc.value)
     # with no random budget the ascent's own batches must catch it
-    with pytest.raises(BoundViolationError):
+    with pytest.raises(BoundViolationError, match=r"ascent point \(-?0\.") as exc:
         verify_bound(3, budget=0)
+    assert "np.float64" not in str(exc.value)
 
 
 def test_grid_max_flags_nan_evaluator(monkeypatch):
     monkeypatch.setattr(oracle, "eval_q_batch", _nan_batch)
-    with pytest.raises(BoundViolationError):
+    with pytest.raises(BoundViolationError, match=r"grid point \(-1\.0, ") as exc:
         grid_max(3, 0.5)
+    assert "np.float64" not in str(exc.value)
 
 
 def test_monotonicity_flags_nan_evaluator(monkeypatch):
@@ -130,6 +135,33 @@ def test_monotonicity_flags_nan_evaluator(monkeypatch):
     monkeypatch.setattr(oracle, "eval_f_batch", lambda scheme, Z: _nan_batch(Z))
     rep = verify_monotonicity(2, samples_per_move=5)
     assert len(rep.violations) == 5 * clean.moves_checked
+    assert all(" at z=(0." in v for v in rep.violations)
+    assert not any("np.float64" in v for v in rep.violations)
+
+
+def test_tolerance_patched_violations_print_plain_floats(monkeypatch):
+    # tolerances below every gap turn each sampled point into a violation
+    monkeypatch.setattr(oracle, "FACTOR_TOL", -10.0)
+    monkeypatch.setattr(oracle, "PRODUCT_TOL", -10.0)
+    ineq = verify_inequalities(5, seed=1).violations
+    mono = verify_monotonicity(2, samples_per_move=2, seed=1).violations
+    assert sum(v.startswith("pair_one fails at (0.") for v in ineq) == 5
+    assert sum(" at z=(0." in v for v in mono) > 0
+    assert not any("np.float64" in v for v in ineq + mono)
+
+
+def test_perturbed_catalogue_fails_in_both_readers(monkeypatch):
+    # quad_one with 1+xyz for 1-xyz: 0.7 * 1.3^3 > 1 at (1, 0.3, 1)
+    def quad_one_mutant(x, y, z):
+        return (1 - y) * (1 + x * y) * (1 + y * z) * (1 + x * y * z), 1
+
+    assert verify_inequalities(1_000, seed=0).violations == ()
+    monkeypatch.setitem(evaluate.INEQUALITY_SIDES, "quad_one", quad_one_mutant)
+    res = check_factor_inequality("quad_one", 1, Fraction(3, 10), 1)
+    assert res.lhs == Fraction(15_379, 10_000) and not res.holds
+    rep = verify_inequalities(1_000, seed=0)
+    assert any(v.startswith("quad_one fails at (") for v in rep.violations)
+    assert not any(v.startswith(("pair", "quad_swap")) for v in rep.violations)
 
 
 def test_verify_bound_is_deterministic():
@@ -176,6 +208,12 @@ def test_grid_max_rejects_nan_step():
         grid_max(2, float("nan"))
 
 
+def test_grid_max_rejects_non_number_step():
+    for step in ("0.5", None, 0.5j):
+        with pytest.raises(DomainError, match="step must be positive"):
+            grid_max(2, step)
+
+
 def test_grid_max_cost_guards():
     with pytest.raises(ResourceLimitError):
         grid_max(7, 0.1)
@@ -217,8 +255,8 @@ def test_identities_closed_form_n12():
     assert rep.exhaustive and rep.violations == ()
 
 
-def _no_work(eps):
-    raise AssertionError(f"a scheme was generated for {eps}")
+def _no_work(*args, **kwargs):
+    raise AssertionError(f"work started: {args}")
 
 
 def test_identities_refuse_over_cap_before_any_work(monkeypatch):
@@ -257,9 +295,64 @@ def test_monotonicity_clean_run():
     assert rep.moves_checked > 0
 
 
-def test_monotonicity_guard():
-    with pytest.raises(ResourceLimitError):
-        verify_monotonicity(9)
+def test_monotonicity_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "build_certificate", _no_work)
+    with pytest.raises(ResourceLimitError, match="n_max=9, cap is 8"):
+        verify_monotonicity(oracle.MONOTONICITY_N_MAX + 1)
+
+
+# One call per sampled suite, taking its sample count k; at the paired k
+# each draws exactly 120 floats into one array.
+SAMPLED = {
+    "inequalities": (lambda k: verify_inequalities(k), 40),
+    "monotonicity": (lambda k: verify_monotonicity(2, samples_per_move=k), 60),
+    "bound": (lambda k: verify_bound(2, budget=k), 60),
+}
+
+
+def _guard_sampling(monkeypatch):
+    for name in ("_rng", "eval_q", "eval_q_batch", "build_certificate"):
+        monkeypatch.setattr(oracle, name, _no_work)
+
+
+@pytest.mark.parametrize("suite", sorted(SAMPLED))
+def test_sampled_suites_refuse_over_cap_before_any_work(monkeypatch, suite):
+    call, at_cap = SAMPLED[suite]
+    _guard_sampling(monkeypatch)
+    monkeypatch.setattr(oracle, "_FLOAT_CAP", 120)
+    with pytest.raises(AssertionError, match="work started"):
+        call(at_cap)
+    with pytest.raises(ResourceLimitError, match="would draw .* floats, cap is 120"):
+        call(at_cap + 1)
+
+
+def test_sampled_suites_refuse_huge_counts_before_any_work(monkeypatch):
+    # each of these would allocate 200 MB or far more if it started
+    _guard_sampling(monkeypatch)
+    for call in (
+        lambda: verify_inequalities(10**9),
+        lambda: verify_monotonicity(8, samples_per_move=10**9),
+        lambda: verify_bound(3, budget=10**12),  # ascent starts ~ budget / 120
+        lambda: verify_bound(100, budget=250_000),  # one random batch
+    ):
+        with pytest.raises(ResourceLimitError, match="cap is"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_inequalities(500_000),
+        lambda: verify_monotonicity(oracle.MONOTONICITY_N_MAX, samples_per_move=5_000),
+        lambda: verify_bound(12, budget=500_000),
+    ],
+)
+def test_sample_caps_admit_counts_in_use(monkeypatch, call):
+    # --samples 500000 (the sample workload) gives these counts; the tests
+    # and scripts use 100,000 at most
+    _guard_sampling(monkeypatch)
+    with pytest.raises(AssertionError, match="work started"):
+        call()
 
 
 def test_report_json_roundtrip():
