@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
+from numbers import Integral, Real
 
 from .errors import DomainError
 
@@ -40,7 +40,7 @@ HERMITE_MAX_RANK = 8
 
 def hermite_constant(d: int) -> float:
     """The Hermite constant g_d, exact-table ranks 1..8 only."""
-    if d not in HERMITE_POWERS:
+    if isinstance(d, bool) or not isinstance(d, Integral) or d not in HERMITE_POWERS:
         raise DomainError(
             f"Hermite constant is tabulated only for ranks 1..{HERMITE_MAX_RANK}, "
             f"got {d}; pass an explicit upper bound instead"

@@ -27,6 +27,7 @@ from .errors import (
     InvalidMoveError,
     ResourceLimitError,
     TriangleIndexError,
+    check_count,
 )
 from .moves import certificate_from_json, certificate_to_json, certificate_to_obj
 from .normalize import (
@@ -38,7 +39,6 @@ from .normalize import (
 )
 from .oracle import (
     MONOTONICITY_N_MAX,
-    _check_count,
     report_to_json,
     verify_bound,
     verify_identities,
@@ -113,7 +113,7 @@ def _cmd_check(args) -> int:
         return 2
     try:
         cert = certificate_from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: certificate parse error: {exc}", file=sys.stderr)
         return 2
     report = check_certificate(eps, cert)
@@ -148,8 +148,8 @@ def run_suites(suite: str, n_max: int, samples: int, seed: int):
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
-    n_max = _check_count("n_max", n_max, 1)
-    samples = _check_count("samples", samples)
+    n_max = check_count("n_max", n_max, 1)
+    samples = check_count("samples", samples)
     if suite in ("lemmas", "all"):
         yield "identities", verify_identities(n_max, seed=seed)
         yield "inequalities", verify_inequalities(samples, seed=seed)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check."""
+
+from numbers import Integral
 
 
 class DimensionError(ValueError):
@@ -40,3 +42,11 @@ class ResourceLimitError(RuntimeError):
 
 class BoundViolationError(RuntimeError):
     """A numerically observed value exceeds a proven bound."""
+
+
+def check_count(name: str, value, least: int = 0) -> int:
+    """value as an int; DomainError unless it is an integer >= least (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)

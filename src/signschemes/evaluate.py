@@ -254,7 +254,7 @@ def check_factor_inequality(which: str, x, y, z=0) -> InequalityCheck:
 
     Exact inputs (ints, Fractions) are evaluated exactly.
     """
-    if which not in INEQUALITY_SIDES:
+    if which not in FACTOR_INEQUALITIES:  # a tuple: unhashable ids are unknown too
         raise DomainError(f"unknown inequality {which!r}")
     _in_cube((x, y, z), 0)
     lhs, rhs = INEQUALITY_SIDES[which](x, y, z)

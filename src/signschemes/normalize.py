@@ -315,6 +315,8 @@ def render_trace(eps, steps) -> str:
     by_level: dict[int, list[TraceStep]] = {k: [] for k in range(1, n + 1)}
     for s in steps:
         by_level[s.level].append(s)
+    # column j of every rendered row sits at character 2(j-1)
+    rendered = generate_scheme(eps).render().split("\n")
     lines: list[str] = []
     for k in range(1, n + 1):
         level_steps = by_level[k]
@@ -323,16 +325,11 @@ def render_trace(eps, steps) -> str:
             for s in level_steps
             if s.op in (OP_VERTICAL, OP_SUBSTITUTE)
         }
-        col = _column_of(eps, k)
-        left_rows = (
-            generate_scheme(eps[: k - 1]).render().split("\n") if k > 1 else []
-        )
-        width = max((len(r) for r in left_rows), default=0)
-        for i in range(1, k + 1):
-            left = left_rows[i - 1] if i - 1 < len(left_rows) else ""
-            ch = sign_char(col[i - 1])
+        width = max(2 * k - 3, 0)
+        for i, row in enumerate(rendered[:k], 1):
+            ch = row[2 * k - 2]
             cell = f"[{ch}]" if i in marks else f" {ch} "
-            prefix = f"{left:<{width}} |" if width else "|"
+            prefix = f"{row[:width]} |" if width else "|"
             lines.append((prefix + cell).rstrip())
         moves = level_steps[-1].moves if level_steps else ()
         lines.append(f"L({k}) = {{{', '.join(str(m) for m in moves)}}}")

@@ -30,11 +30,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .errors import BoundViolationError, DomainError, ResourceLimitError
+from .errors import BoundViolationError, DomainError, ResourceLimitError, check_count
 from .evaluate import (
     FACTOR_INEQUALITIES,
     FACTOR_TOL,
@@ -74,15 +74,8 @@ _POOL = 512
 _SQUARE_CAP = 200_000_000
 
 
-def _check_count(name: str, value, least: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        kind = "positive" if least else "nonnegative"
-        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
-    return int(value)
-
-
 def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(_check_count("seed", seed))
+    return np.random.default_rng(check_count("seed", seed))
 
 
 def _check_cap(work: int, cap: int, what: str) -> None:
@@ -91,24 +84,36 @@ def _check_cap(work: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"{what}, cap is {cap}")
 
 
-def _top(vals, X, limit, bound, where: str) -> tuple[int, float]:
+def _top(vals, X, bound, where: str) -> tuple[int, float]:
     """Index and value of the largest cube-product value in a batch.
 
-    A value above limit, or NaN (which np.argmax picks first), is a
-    violation, so a broken evaluator cannot pass by returning NaN.
+    A value over bound + PRODUCT_TOL, or NaN (which np.argmax picks
+    first), is a violation: a broken evaluator cannot pass with NaN.
     """
     idx = int(np.argmax(vals))
     top = float(vals[idx])
-    if not top <= limit:
+    if not top <= bound + PRODUCT_TOL:
         raise BoundViolationError(
             f"{where} point {tuple(X[idx].tolist())} gives {top} > bound {bound}"
         )
     return idx, top
 
 
+def _sweep(blocks, bound: int, where: str):
+    """Best value and point over the blocks, and the points within 1e-12 of bound."""
+    best_value, best_point, near = -math.inf, (), []
+    for X in blocks:
+        vals = eval_q_batch(X)
+        idx, top = _top(vals, X, bound, where)
+        if top > best_value:
+            best_value, best_point = top, tuple(X[idx].tolist())
+        near += map(tuple, X[vals >= bound - 1e-12].tolist())
+    return best_value, best_point, near
+
+
 def qmax_bound(n: int) -> int:
     """The proven maximum of the n-variable cube product: 2^floor((n+1)/2)."""
-    n = _check_count("dimension", n, 1)
+    n = check_count("dimension", n, 1)
     return 2 ** ((n + 1) // 2)
 
 
@@ -118,7 +123,7 @@ def candidate_maximizers(n: int) -> tuple[tuple[int, ...], ...]:
     Odd n has the single alternating point (-1, 0, -1, 0, ...); even n
     has the n/2 + 1 block patterns [-1,0]*k + [0,-1]*(n/2 - k).
     """
-    n = _check_count("dimension", n, 1)
+    n = check_count("dimension", n, 1)
     if n % 2 == 1:
         return (tuple(-1 if i % 2 == 0 else 0 for i in range(n)),)
     half = n // 2
@@ -162,7 +167,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     raises BoundViolationError; that cannot happen unless an evaluator
     is broken.
     """
-    budget = _check_count("budget", budget)
+    budget = check_count("budget", budget)
     bound = qmax_bound(n)
     rounds = 20
     starts = max(1, budget // (2 * rounds * n))
@@ -178,24 +183,19 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     best_value = float(bound)
     best_point = tuple(float(c) for c in candidates[0])
     method = "vertex-enum"
-    evaluations = len(candidates)
-    limit = bound + PRODUCT_TOL
+    evaluations = len(candidates) + budget
     rng = _rng(seed)
-
-    remaining = budget
-    while remaining > 0:
-        m = min(remaining, _BATCH)
-        X = rng.uniform(-1.0, 1.0, size=(m, n))
-        vals = eval_q_batch(X)
-        evaluations += m
-        idx, top = _top(vals, X, limit, bound, "random")
-        if top > best_value:
-            best_value, best_point, method = top, tuple(X[idx].tolist()), "random"
-        remaining -= m
+    blocks = (
+        rng.uniform(-1.0, 1.0, size=(min(_BATCH, budget - s), n))
+        for s in range(0, budget, _BATCH)
+    )
+    top, point, _ = _sweep(blocks, bound, "random")
+    if top > best_value:
+        best_value, best_point, method = top, point, "random"
 
     P = rng.uniform(-1.0, 1.0, size=(starts, n))
     vals = eval_q_batch(P)
-    _top(vals, P, limit, bound, "ascent")
+    _top(vals, P, bound, "ascent")
     evaluations += starts
     bracket = 1.0
     for _ in range(rounds):
@@ -204,7 +204,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
                 Q = P.copy()
                 Q[:, c] = np.clip(Q[:, c] + delta, -1.0, 1.0)
                 qvals = eval_q_batch(Q)
-                _top(qvals, Q, limit, bound, "ascent")
+                _top(qvals, Q, bound, "ascent")
                 evaluations += starts
                 better = qvals > vals
                 P[better] = Q[better]
@@ -238,37 +238,28 @@ def grid_max(n: int, step: float) -> MaxReport:
     bound exactly. Grid points attaining the bound outside the known
     family are returned as findings, not failures.
     """
-    n = _check_count("dimension", n, 1)
+    n = check_count("dimension", n, 1)
     if not (isinstance(step, Real) and 0 < step < math.inf):
         raise DomainError(f"step must be positive and finite, got {step!r}")
     m = round(1.0 / step)
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1 evenly")
-    total = (2 * m + 1) ** n
+    K = 2 * m + 1
+    total = K**n
     _check_cap(total, _GRID_POINT_CAP, f"grid would have {total} points")
     g = np.array([k / m for k in range(-m, m + 1)])
     bound = qmax_bound(n)
-    limit = bound + PRODUCT_TOL
-    near = bound - 1e-12
-    if n == 1:
-        tail = np.empty((1, 0))
-    else:
-        mesh = np.meshgrid(*([g] * (n - 1)), indexing="ij")
-        tail = np.stack(mesh, axis=-1).reshape(-1, n - 1)
-    best_value = -math.inf
-    best_point: tuple[float, ...] = ()
-    attainers: list[tuple[float, ...]] = []
-    evaluations = 0
-    for v in g:
-        X = np.concatenate([np.full((tail.shape[0], 1), v), tail], axis=1)
-        vals = eval_q_batch(X)
-        evaluations += X.shape[0]
-        idx, top = _top(vals, X, limit, bound, "grid")
-        if top > best_value:
-            best_value, best_point = top, tuple(X[idx].tolist())
-        attainers += map(tuple, X[vals >= near].tolist())
+    # lexicographic blocks: each value of the first n - t coordinates with
+    # all K^t values of the last t, the largest t with K^t <= _BATCH
+    t = min(n, int(math.log(_BATCH, K)))
+    tail = g[np.indices((K,) * t).reshape(t, K**t).T]
+    blocks = (
+        np.hstack([np.broadcast_to(head, (K**t, n - t)), tail])
+        for head in itertools.product(g, repeat=n - t)
+    )
+    best_value, best_point, near = _sweep(blocks, bound, "grid")
     known = set(candidate_maximizers(n))
-    findings = tuple(p for p in attainers if p not in known)
+    findings = tuple(p for p in near if p not in known)
     return MaxReport(
         n=n,
         best_value=best_value,
@@ -277,7 +268,7 @@ def grid_max(n: int, step: float) -> MaxReport:
         bound=bound,
         within_bound=True,
         attained=best_value == float(bound),
-        evaluations=evaluations,
+        evaluations=total,
         step=step,
         findings=findings,
     )
@@ -398,7 +389,7 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
     check more than _SQUARE_CAP (2e8) squares: n_max = 16 (1.9e8
     squares, a few seconds) and n_max = 21 run, n_max = 22 does not.
     """
-    n_max = _check_count("n_max", n_max, 1)
+    n_max = check_count("n_max", n_max, 1)
     rng = _rng(seed)
     work = sum(
         (2**n if n <= _EXHAUSTIVE_N else _POOL) * math.comb(n, 4)
@@ -476,7 +467,7 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
     tracks the largest deviation of the quad_swap gap from its closed
     factored form, which must stay at roundoff level.
     """
-    samples = _check_count("samples", samples)
+    samples = check_count("samples", samples)
     floats = 3 * samples
     _check_cap(floats, _FLOAT_CAP, f"verify_inequalities would draw {floats} floats")
     rng = _rng(seed)
@@ -549,9 +540,9 @@ def verify_monotonicity(
     to PRODUCT_TOL and that the product of the move's touched factors in
     the pre-move scheme stays <= 1 up to FACTOR_TOL.
     """
-    n_max = _check_count("n_max", n_max, 1)
+    n_max = check_count("n_max", n_max, 1)
     _check_cap(n_max, MONOTONICITY_N_MAX, f"exhaustive sweep to n_max={n_max}")
-    samples_per_move = _check_count("samples_per_move", samples_per_move)
+    samples_per_move = check_count("samples_per_move", samples_per_move)
     floats = n_max * samples_per_move
     _check_cap(floats, _FLOAT_CAP, f"verify_monotonicity would draw {floats} floats")
     rng = _rng(seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterator, NamedTuple
 
-from .errors import DimensionError, DomainError, TriangleIndexError
+from .errors import DimensionError, DomainError, TriangleIndexError, check_count
 
 PLUS = 1
 MINUS = -1
@@ -109,7 +109,11 @@ class Scheme:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
+        try:
+            lengths = [len(row) for row in self.rows]
+        except TypeError:
+            raise DomainError(f"scheme rows must be sequences: {self.rows!r}") from None
+        n = len(lengths)
         if n == 0:
             raise DimensionError("scheme must have at least one row")
         for idx, row in enumerate(self.rows):
@@ -127,6 +131,9 @@ class Scheme:
         return len(self.rows)
 
     def check_position(self, i: int, j: int) -> None:
+        if type(i) is not int or type(j) is not int:  # plain ints skip the slow check
+            if not (isinstance(i, Integral) and isinstance(j, Integral)):
+                raise DomainError(f"position indices must be integers: ({i!r}, {j!r})")
         if not (1 <= i <= j <= self.n):
             raise TriangleIndexError(
                 f"position ({i}, {j}) outside triangle of size {self.n}"
@@ -186,9 +193,9 @@ def reference_sign(i: int, j: int) -> int:
 
 def reference_scheme(n: int) -> Scheme:
     """The target scheme of size n, generated by the all-minus vector."""
-    if n < 1:
+    if isinstance(n, Integral) and n < 1:
         raise DimensionError(f"scheme size must be positive, got {n}")
-    return generate_scheme((MINUS,) * n)
+    return generate_scheme((MINUS,) * check_count("scheme size", n, 1))
 
 
 def wrong_set(scheme: Scheme) -> frozenset[tuple[int, int]]:
@@ -267,6 +274,6 @@ def square_sign_product(scheme: Scheme, i: int, i2: int, j: int, j2: int) -> int
 
 def all_sign_vectors(n: int) -> Iterator[tuple[int, ...]]:
     """All 2^n sign vectors of length n, plus-first lexicographic order."""
-    if n < 1:
+    if isinstance(n, Integral) and n < 1:
         raise DimensionError(f"sign vector length must be positive, got {n}")
-    return itertools.product((PLUS, MINUS), repeat=n)
+    return itertools.product((PLUS, MINUS), repeat=check_count("dimension", n, 1))

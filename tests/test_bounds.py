@@ -36,6 +36,11 @@ def test_hermite_constants():
         hermite_constant(9)
     with pytest.raises(DomainError):
         hermite_constant(0)
+    # a list is unhashable and raised a bare TypeError; True and 2.0 were
+    # looked up as 1 and 2
+    for d in ([1], True, 2.0, "2"):
+        with pytest.raises(DomainError, match="tabulated"):
+            hermite_constant(d)
 
 
 def test_quadratic_worked_value():

@@ -166,6 +166,14 @@ class TestCheck:
         assert code == 2
         assert "certificate parse error" in err
 
+    def test_deeply_nested_certificate(self, capsys, tmp_path):
+        # the JSON decoder recurses once per '[' and runs out of stack
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "check", WORKED, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: certificate parse error: maximum recursion")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", WORKED, str(tmp_path / "absent.json"))
         assert code == 2

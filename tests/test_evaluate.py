@@ -109,6 +109,10 @@ def test_eval_factor():
     assert eval_factor(scheme, z, 1, 2) == 0.75
     assert eval_factor(scheme, z, 3, 3) == 1.5
     assert eval_factor(scheme, z, 1, 2, exact=True) == Fraction(3, 4)
+    # non-integer indices reach Scheme.sign, which refuses them
+    for i, j in ((1.5, 2), (1, 2.0)):
+        with pytest.raises(DomainError, match="integers"):
+            eval_factor(scheme, z, i, j)
 
 
 def test_eval_f_is_product_of_factors():
@@ -257,6 +261,10 @@ def test_inequality_errors():
     for bad in ("0.5", None, 1j):
         with pytest.raises(DomainError):
             check_factor_inequality("pair_one", bad, 0)
+    # an unhashable id raised a bare TypeError from the table lookup
+    for which in (["x"], {"pair_one": 1}):
+        with pytest.raises(DomainError, match="unknown inequality"):
+            check_factor_inequality(which, 0.5, 0.5)
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

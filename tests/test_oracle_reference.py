@@ -1,23 +1,39 @@
-"""The identity sweep against the per-vector loop it replaces.
+"""The oracle's sweeps against the loops they replace.
 
-The reference function below is verify_identities as first written: one
+_reference_identities is verify_identities as first written: one
 generated scheme per sign vector, checked with the scalar square, sum
 and count helpers. The package checks the identities on blocks of sign
 tensors; both must give the same report, violation messages included,
 for the same arguments.
+
+_reference_grid_max and _reference_verify_bound are the cube-maximum
+searches with their own block loops: the grid built whole from a
+meshgrid of its last n - 1 coordinates, one block per first coordinate,
+and the random phase as a countdown of batches. The package feeds both
+through one bounded sweep; the reports must be equal, points, findings
+and evaluation counts included.
 """
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from signschemes import (
     IdentityReport,
+    MaxReport,
     all_sign_vectors,
+    candidate_maximizers,
+    eval_q,
+    eval_q_batch,
     generate_scheme,
+    grid_max,
     horizontal_sum,
+    qmax_bound,
     square_sign_product,
+    verify_bound,
     verify_identities,
     vertical_sum,
     wrong_counts,
@@ -134,3 +150,137 @@ def test_cross_check_catches_a_wrong_tensor(monkeypatch):
     rep = verify_identities(3)
     assert "sign tensor differs from generate_scheme for (1, 1, 1)" in rep.violations
     assert "sign tensor differs from generate_scheme for (-1, -1, -1)" in rep.violations
+
+
+def _reference_grid_max(n, step):
+    m = round(1.0 / step)
+    g = np.array([k / m for k in range(-m, m + 1)])
+    bound = qmax_bound(n)
+    near = bound - 1e-12
+    if n == 1:
+        tail = np.empty((1, 0))
+    else:
+        mesh = np.meshgrid(*([g] * (n - 1)), indexing="ij")
+        tail = np.stack(mesh, axis=-1).reshape(-1, n - 1)
+    best_value = -math.inf
+    best_point = ()
+    attainers = []
+    evaluations = 0
+    for v in g:
+        X = np.concatenate([np.full((tail.shape[0], 1), v), tail], axis=1)
+        vals = eval_q_batch(X)
+        evaluations += X.shape[0]
+        idx, top = oracle._top(vals, X, bound, "grid")
+        if top > best_value:
+            best_value, best_point = top, tuple(X[idx].tolist())
+        attainers += map(tuple, X[vals >= near].tolist())
+    known = set(oracle.candidate_maximizers(n))
+    findings = tuple(p for p in attainers if p not in known)
+    return MaxReport(
+        n=n,
+        best_value=best_value,
+        best_point=best_point,
+        method="grid",
+        bound=bound,
+        within_bound=True,
+        attained=best_value == float(bound),
+        evaluations=evaluations,
+        step=step,
+        findings=findings,
+    )
+
+
+def _reference_verify_bound(n, budget, seed=0):
+    bound = qmax_bound(n)
+    rounds = 20
+    starts = max(1, budget // (2 * rounds * n))
+    candidates = candidate_maximizers(n)
+    for cand in candidates:
+        assert eval_q(cand, exact=True) == bound
+    best_value = float(bound)
+    best_point = tuple(float(c) for c in candidates[0])
+    method = "vertex-enum"
+    evaluations = len(candidates)
+    rng = np.random.default_rng(seed)
+
+    remaining = budget
+    while remaining > 0:
+        m = min(remaining, oracle._BATCH)
+        X = rng.uniform(-1.0, 1.0, size=(m, n))
+        vals = eval_q_batch(X)
+        evaluations += m
+        idx, top = oracle._top(vals, X, bound, "random")
+        if top > best_value:
+            best_value, best_point, method = top, tuple(X[idx].tolist()), "random"
+        remaining -= m
+
+    P = rng.uniform(-1.0, 1.0, size=(starts, n))
+    vals = eval_q_batch(P)
+    oracle._top(vals, P, bound, "ascent")
+    evaluations += starts
+    bracket = 1.0
+    for _ in range(rounds):
+        for c in range(n):
+            for delta in (bracket, -bracket):
+                Q = P.copy()
+                Q[:, c] = np.clip(Q[:, c] + delta, -1.0, 1.0)
+                qvals = eval_q_batch(Q)
+                oracle._top(qvals, Q, bound, "ascent")
+                evaluations += starts
+                better = qvals > vals
+                P[better] = Q[better]
+                vals = np.where(better, qvals, vals)
+        bracket *= 0.5
+    idx = int(np.argmax(vals))
+    top = float(vals[idx])
+    if top > best_value:
+        best_value, best_point = top, tuple(P[idx].tolist())
+        method = "coordinate-ascent"
+    return MaxReport(
+        n=n,
+        best_value=best_value,
+        best_point=best_point,
+        method=method,
+        bound=bound,
+        within_bound=True,
+        attained=best_value == float(bound),
+        evaluations=evaluations,
+        seed=seed,
+        budget=budget,
+    )
+
+
+@pytest.mark.parametrize(
+    "n,step", [(1, 1.0), (1, 0.01), (2, 0.5), (3, 0.05), (4, 0.25), (7, 0.25), (12, 1.0)]
+)
+def test_grid_max_matches_reference(n, step):
+    rep = grid_max(n, step)
+    assert rep == _reference_grid_max(n, step)
+    assert rep.evaluations == round(2 / step + 1) ** n
+
+
+def test_grid_findings_match_reference(monkeypatch):
+    # With no known maximizers every attaining point is a finding, and
+    # blocks of 25 points put them in different blocks.
+    monkeypatch.setattr(oracle, "candidate_maximizers", lambda n: ())
+    monkeypatch.setattr(oracle, "_BATCH", 25)
+    rep = grid_max(6, 0.5)
+    assert len(rep.findings) == 4
+    assert rep == _reference_grid_max(6, 0.5)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("budget", [0, 1, oracle._BATCH, oracle._BATCH + 1])
+def test_verify_bound_matches_reference(n, budget):
+    assert verify_bound(n, budget, seed=5) == _reference_verify_bound(n, budget, seed=5)
+
+
+def test_grid_memory_is_one_block():
+    # The whole grid is 9^7 points; one block is 9^5 points of 7 floats.
+    tracemalloc.start()
+    try:
+        grid_max(7, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

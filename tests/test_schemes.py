@@ -228,6 +228,24 @@ def test_all_sign_vectors_small():
         all_sign_vectors(0)
 
 
+def test_sizes_and_positions_must_be_integers():
+    # each of these raised a bare TypeError, or was accepted (True as 1)
+    for n in (2.5, "3", True, None):
+        with pytest.raises(DomainError):
+            reference_scheme(n)
+        with pytest.raises(DomainError):
+            all_sign_vectors(n)
+    for rows in (5, None, (5,)):
+        with pytest.raises(DomainError, match="sequences"):
+            Scheme(rows)
+    scheme = generate_scheme(FIVE)
+    for i, j in ((1.5, 2), (1, 2.0), ("1", 2)):
+        with pytest.raises(DomainError, match="integers"):
+            scheme.sign(i, j)
+    assert reference_scheme(np.int64(2)).rows == ((-1, 1), (-1,))
+    assert scheme.sign(np.int64(1), np.int64(5)) == PLUS
+
+
 @TEST_SETTINGS
 @given(sign_vectors)
 def test_diagonal_equals_generator(eps):
