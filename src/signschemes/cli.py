@@ -39,6 +39,10 @@ from .normalize import (
 )
 from .oracle import (
     MONOTONICITY_N_MAX,
+    bound_cap,
+    identities_cap,
+    inequalities_cap,
+    monotonicity_cap,
     report_to_json,
     verify_bound,
     verify_identities,
@@ -145,21 +149,28 @@ def run_suites(suite: str, n_max: int, samples: int, seed: int):
     lemmas: identities up to n_max, inequalities on samples points.
     monotonicity: to min(n_max, MONOTONICITY_N_MAX), max(10, samples // 100) per move.
     bound: one report per dimension up to n_max, budget samples each.
+    Every run's cap is checked before the first run starts.
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
     n_max = check_count("n_max", n_max, 1)
     samples = check_count("samples", samples)
+    runs = []  # (name, cap rule, suite function, size arguments)
     if suite in ("lemmas", "all"):
-        yield "identities", verify_identities(n_max, seed=seed)
-        yield "inequalities", verify_inequalities(samples, seed=seed)
+        runs.append(("identities", identities_cap, verify_identities, (n_max,)))
+        runs.append(("inequalities", inequalities_cap, verify_inequalities, (samples,)))
     if suite in ("monotonicity", "all"):
-        yield "monotonicity", verify_monotonicity(
-            min(n_max, MONOTONICITY_N_MAX), max(10, samples // 100), seed
-        )
+        mono = (min(n_max, MONOTONICITY_N_MAX), max(10, samples // 100))
+        runs.append(("monotonicity", monotonicity_cap, verify_monotonicity, mono))
     if suite in ("bound", "all"):
-        for n in range(1, n_max + 1):
-            yield f"bound n={n}", verify_bound(n, budget=samples, seed=seed)
+        runs += [
+            (f"bound n={n}", bound_cap, verify_bound, (n, samples))
+            for n in range(1, n_max + 1)
+        ]
+    for _, cap, _, args in runs:
+        cap(*args)
+    for name, _, suite_fn, args in runs:
+        yield name, suite_fn(*args, seed=seed)
 
 
 def _cmd_verify(args) -> int:

@@ -17,14 +17,17 @@ column k's wrong entries:
   * Finally add a Point move for every wrong '+' still left in the
     working column, top row first.
 
-Neither lookup scans. The scan pushes each wrong '+' row it passes onto
-a stack, so the nearest unpaired one below the current row is on top.
-Each row i keeps a stack of the moves ending at it, pushed as they are
-created, so the top has the largest j. A row needs a stack, not a
-single "latest move" slot: widening removes the top move from the row's
-candidates, and the move beneath it is the target the next time row i
-needs widening. Each column therefore costs O(k), and the whole build
-O(n^2), the size of the scheme.
+Every per-column quantity comes from lists made once. With pre the
+prefix products of eps (pre[0] = 1), C[i,k] = pre[i-1]*pre[k]: column k
+is a slice of pre or of -pre, and V below row i is pre[k] times a
+difference of prefix sums of pre. (i,k) starts out wrong exactly when
+(pre[i-1] == 1) ^ (i odd) equals (pre[k] == 1) ^ (k odd), so the scan
+visits only the rows of that class. No lookup scans either: the nearest
+unpaired wrong '+' below the scanned row is on top of a stack, and each
+row keeps a stack of the moves ending at it, largest j on top; widening
+pops the top, exposing the row's next target. A column costs one O(k)
+slice and O(1) per wrong entry, the build O(n^2). Moves stay plain tuples
+while later columns widen them; each final move becomes one validated Move.
 
 Each flip turns a wrong entry into a correct one and no position is
 touched twice, so the touched sets are disjoint and cover exactly the
@@ -35,10 +38,12 @@ those paths raise AlgorithmInvariantError and are bug signals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import AlgorithmInvariantError, DimensionError
-from .moves import POINT, Certificate, Move
+from .moves import HORIZONTAL, POINT, SQUARE, VERTICAL, Certificate, Move
 from .schemes import (
     MINUS,
     PLUS,
@@ -72,61 +77,59 @@ class TraceStep:
     moves: tuple[Move, ...]
 
 
-def _column_of(eps, k: int) -> list[int]:
-    """Column k of the generated scheme: entry i is eps[i]*...*eps[k]."""
-    col = [0] * k
-    prod = 1
-    for i in range(k, 0, -1):
-        prod *= eps[i - 1]
-        col[i - 1] = prod
-    return col
-
-
 def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
     n = len(eps)
-    moves: list[Move] = []
+    # moves as plain (kind, i, j, i2, j2) tuples, made Moves once at the end
+    moves: list[tuple] = []
     # ends[i]: indices into moves of the Point(i;j) and Vertical(.,i;j)
     # moves, in creation order, so the top has the largest j
     ends: list[list[int]] = [[] for _ in range(n + 1)]
     # reference_sign(i, k) depends only on k - i
     alt = [reference_sign(1, j) for j in range(1, n + 1)]
+    # C[i,k] = pre[i-1] * pre[k]; acc[i] = pre[0] + ... + pre[i-1];
+    # rows[c]: the rows i with (pre[i-1] == 1) ^ (i odd) == c, ascending
+    pre, acc, rows = [1], [0], ([], [])
+    for i, e in enumerate(eps, 1):
+        rows[(pre[-1] == 1) ^ (i & 1)].append(i)
+        acc.append(acc[-1] + pre[-1])
+        pre.append(pre[-1] * e)
+    neg = [-p for p in pre]
+    made = cache(lambda m: Move(*m))  # one Move per distinct trace move
 
     def emit(level, op, action, flipped, work):
-        at = tuple(moves) if op == OP_LEVEL else ()
+        at = tuple(map(made, moves)) if op == OP_LEVEL else ()
         steps.append(TraceStep(level, op, action, tuple(flipped), tuple(work), at))
 
     for k in range(1, n + 1):
-        col = _column_of(eps, k)
-        # suffix[i] = sum of the original column below row i (rows i+1..k)
-        suffix = [0] * (k + 2)
-        for i in range(k, 0, -1):
-            suffix[i] = suffix[i + 1] + col[i - 1]
-        work = col[:]
+        sign = pre[k]
+        work = (pre if sign == 1 else neg)[:k]
         ref = alt[k - 1 :: -1]
+        cls = rows[(sign == 1) ^ (k & 1)]  # the rows wrong at the start
         # wrong '+' rows below the scanned row, the nearest one on top
         wrong_plus: list[int] = []
 
-        for i in range(k, 0, -1):
+        for i in reversed(cls[: bisect_right(cls, k)]):
             s = work[i - 1]
             if s == ref[i - 1]:
+                # the top corner of an earlier Square widening
                 continue
             if s == PLUS:
                 wrong_plus.append(i)
                 continue
-            below = suffix[i + 1]
+            below = sign * (acc[k] - acc[i])
             if below > 0:
                 if not wrong_plus:
                     raise AlgorithmInvariantError(
                         f"no wrong '+' below row {i} in column {k} despite V > 0"
                     )
                 i2 = wrong_plus.pop()
-                mv = Move.vertical(i, i2, k)
+                mv = (VERTICAL, i, k, i2, None)
                 ends[i2].append(len(moves))
                 moves.append(mv)
                 work[i - 1] = PLUS
                 work[i2 - 1] = MINUS
                 if steps is not None:
-                    emit(k, OP_VERTICAL, f"add {mv}", ((i, k), (i2, k)), work)
+                    emit(k, OP_VERTICAL, f"add {made(mv)}", ((i, k), (i2, k)), work)
             elif below < 0:
                 if not ends[i]:
                     raise AlgorithmInvariantError(
@@ -134,37 +137,36 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
                     )
                 best = ends[i].pop()
                 old = moves[best]
-                if old.kind == POINT:
-                    new = Move.horizontal(i, old.j, k)
-                    moves[best] = new
-                    work[i - 1] = PLUS
+                if old[0] == POINT:
+                    new = (HORIZONTAL, i, old[2], None, k)
                     flipped = ((i, k),)
                 else:
-                    top = old.i
+                    top = old[1]
                     if work[top - 1] != PLUS or ref[top - 1] != MINUS:
                         raise AlgorithmInvariantError(
                             f"fourth corner ({top}, {k}) is not a wrong '+' "
-                            f"when widening {old}"
+                            f"when widening {made(old)}"
                         )
-                    new = Move.square(top, i, old.j, k)
-                    moves[best] = new
-                    work[i - 1] = PLUS
+                    new = (SQUARE, top, old[2], i, k)
                     work[top - 1] = MINUS
                     flipped = ((i, k), (top, k))
+                moves[best] = new
+                work[i - 1] = PLUS
                 if steps is not None:
-                    emit(k, OP_SUBSTITUTE, f"replace {old} with {new}", flipped, work)
+                    action = f"replace {made(old)} with {made(new)}"
+                    emit(k, OP_SUBSTITUTE, action, flipped, work)
             else:
                 raise AlgorithmInvariantError(
                     f"V = 0 at wrong '-' ({i}, {k}); the column sum must be odd"
                 )
 
         for i in reversed(wrong_plus):
-            mv = Move.point(i, k)
+            mv = (POINT, i, k, None, None)
             ends[i].append(len(moves))
             moves.append(mv)
             work[i - 1] = MINUS
             if steps is not None:
-                emit(k, OP_POINT, f"add {mv}", ((i, k),), work)
+                emit(k, OP_POINT, f"add {made(mv)}", ((i, k),), work)
 
         if work != ref:
             i = next(i for i in range(1, k + 1) if work[i - 1] != ref[i - 1])
@@ -174,7 +176,7 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
         if steps is not None:
             emit(k, OP_LEVEL, f"column {k} complete", (), work)
 
-    return moves
+    return [Move(*m) for m in moves]
 
 
 def build_certificate(eps) -> Certificate:
@@ -183,9 +185,10 @@ def build_certificate(eps) -> Certificate:
     The order is deterministic: earlier-column moves keep their positions
     when widened in place, each column's Vertical moves follow in scan
     order (bottom to top), and its Point moves come last, top to bottom.
-    Runs in O(n^2): the widening target and the pairing partner come off
-    per-row and per-column stacks (see the module docstring), and no
-    trace text is formatted.
+    Runs in O(n^2): columns and V-sums come from prefix lists, the
+    widening target and the pairing partner come off per-row and
+    per-column stacks (see the module docstring), and no trace text is
+    formatted.
     """
     eps = as_sign_vector(eps)
     return Certificate(eps, tuple(_build(eps, None)))

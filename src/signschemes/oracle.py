@@ -18,6 +18,8 @@ are compared with generate_scheme.
 Every suite refuses, before it starts, a run whose estimated work is
 over its cap (_check_cap, ResourceLimitError): identity squares, grid
 points, the monotonicity dimension, or the floats a sampled suite draws.
+Each verify_* function's rule is its own *_cap function, on its validated
+size arguments, so cli.run_suites can check every run before the first.
 
 All randomness comes from numpy's seeded generator; every report records
 the seed it was produced with.
@@ -63,6 +65,7 @@ _GRID_POINT_CAP = 40_000_000
 _FLOAT_CAP = 10_000_000
 # verify_monotonicity sweeps every sign vector, so it stops at this n.
 MONOTONICITY_N_MAX = 8
+_ASCENT_ROUNDS = 20  # verify_bound halves its ascent step this many times
 
 # verify_identities: every sign vector up to _EXHAUSTIVE_N, _POOL random
 # vectors per larger dimension, in blocks of 2^(n-4) vectors, at least 64
@@ -82,6 +85,34 @@ def _check_cap(work: int, cap: int, what: str) -> None:
     """Refuse a run, before it starts, whose estimated work exceeds cap."""
     if work > cap:
         raise ResourceLimitError(f"{what}, cap is {cap}")
+
+
+def identities_cap(n_max: int) -> None:
+    work = sum(
+        (2**n if n <= _EXHAUSTIVE_N else _POOL) * math.comb(n, 4)
+        for n in range(1, n_max + 1)
+    )
+    what = f"verify_identities({n_max}) would check {work} squares"
+    _check_cap(work, _SQUARE_CAP, what)
+
+
+def inequalities_cap(samples: int) -> None:
+    floats = 3 * samples
+    _check_cap(floats, _FLOAT_CAP, f"verify_inequalities would draw {floats} floats")
+
+
+def monotonicity_cap(n_max: int, samples_per_move: int) -> None:
+    _check_cap(n_max, MONOTONICITY_N_MAX, f"exhaustive sweep to n_max={n_max}")
+    floats = n_max * samples_per_move
+    _check_cap(floats, _FLOAT_CAP, f"verify_monotonicity would draw {floats} floats")
+
+
+def bound_cap(n: int, budget: int) -> int:
+    """verify_bound(n, budget)'s ascent starts; refuses it over the float cap."""
+    starts = max(1, budget // (2 * _ASCENT_ROUNDS * n))
+    floats = n * max(min(budget, _BATCH), starts)
+    _check_cap(floats, _FLOAT_CAP, f"verify_bound would draw {floats} floats")
+    return starts
 
 
 def _top(vals, X, bound, where: str) -> tuple[int, float]:
@@ -169,10 +200,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     """
     budget = check_count("budget", budget)
     bound = qmax_bound(n)
-    rounds = 20
-    starts = max(1, budget // (2 * rounds * n))
-    floats = n * max(min(budget, _BATCH), starts)
-    _check_cap(floats, _FLOAT_CAP, f"verify_bound would draw {floats} floats")
+    starts = bound_cap(n, budget)
     candidates = candidate_maximizers(n)
     for cand in candidates:
         val = eval_q(cand, exact=True)
@@ -198,7 +226,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     _top(vals, P, bound, "ascent")
     evaluations += starts
     bracket = 1.0
-    for _ in range(rounds):
+    for _ in range(_ASCENT_ROUNDS):
         for c in range(n):
             for delta in (bracket, -bracket):
                 Q = P.copy()
@@ -250,12 +278,14 @@ def grid_max(n: int, step: float) -> MaxReport:
     g = np.array([k / m for k in range(-m, m + 1)])
     bound = qmax_bound(n)
     # lexicographic blocks: each value of the first n - t coordinates with
-    # all K^t values of the last t, the largest t with K^t <= _BATCH
-    t = min(n, int(math.log(_BATCH, K)))
+    # the K^t values of the last t (the largest t with K^t <= _BATCH, at
+    # least 1), cut into pieces of at most _BATCH points
+    t = max(1, min(n, int(math.log(_BATCH, K))))
     tail = g[np.indices((K,) * t).reshape(t, K**t).T]
     blocks = (
-        np.hstack([np.broadcast_to(head, (K**t, n - t)), tail])
+        np.hstack([np.broadcast_to(head, (len(part), n - t)), part])
         for head in itertools.product(g, repeat=n - t)
+        for part in np.split(tail, range(_BATCH, K**t, _BATCH))
     )
     best_value, best_point, near = _sweep(blocks, bound, "grid")
     known = set(candidate_maximizers(n))
@@ -391,13 +421,7 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
     """
     n_max = check_count("n_max", n_max, 1)
     rng = _rng(seed)
-    work = sum(
-        (2**n if n <= _EXHAUSTIVE_N else _POOL) * math.comb(n, 4)
-        for n in range(1, n_max + 1)
-    )
-    _check_cap(
-        work, _SQUARE_CAP, f"verify_identities({n_max}) would check {work} squares"
-    )
+    identities_cap(n_max)
     vectors = squares = sums = parity = 0
     violations: list[str] = []
     for n in range(1, n_max + 1):
@@ -468,8 +492,7 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
     factored form, which must stay at roundoff level.
     """
     samples = check_count("samples", samples)
-    floats = 3 * samples
-    _check_cap(floats, _FLOAT_CAP, f"verify_inequalities would draw {floats} floats")
+    inequalities_cap(samples)
     rng = _rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(samples, 3))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -541,10 +564,8 @@ def verify_monotonicity(
     the pre-move scheme stays <= 1 up to FACTOR_TOL.
     """
     n_max = check_count("n_max", n_max, 1)
-    _check_cap(n_max, MONOTONICITY_N_MAX, f"exhaustive sweep to n_max={n_max}")
     samples_per_move = check_count("samples_per_move", samples_per_move)
-    floats = n_max * samples_per_move
-    _check_cap(floats, _FLOAT_CAP, f"verify_monotonicity would draw {floats} floats")
+    monotonicity_cap(n_max, samples_per_move)
     rng = _rng(seed)
     certificates = moves_checked = 0
     violations: list[str] = []

@@ -1,9 +1,11 @@
 """The certificate builder against a straightforward reference builder.
 
-_reference_build is the original linear-scan builder: for every wrong '-'
-with V < 0 it scans the whole move list for the move to widen, and it
-finds each pairing partner by scanning down the column. The package's
-builder keeps per-row stacks instead; both must emit the same
+_reference_build is the original linear-scan builder: it multiplies out
+each column and its sums below every row on its own, scans every row of
+the column, scans the whole move list for the move to widen when V < 0,
+and finds each pairing partner by scanning down the column. The
+package's builder reads prefix lists, visits only the rows that start
+out wrong and keeps per-row stacks instead; both must emit the same
 certificates and the same traces.
 """
 
@@ -32,8 +34,17 @@ from signschemes.normalize import (
     OP_SUBSTITUTE,
     OP_VERTICAL,
     TraceStep,
-    _column_of,
 )
+
+
+def _column(eps, k):
+    """Column k of the generated scheme: entry i is eps[i]*...*eps[k]."""
+    col = [0] * k
+    prod = 1
+    for i in range(k, 0, -1):
+        prod *= eps[i - 1]
+        col[i - 1] = prod
+    return col
 
 
 def _reference_build(eps, steps):
@@ -46,7 +57,7 @@ def _reference_build(eps, steps):
             steps.append(TraceStep(level, op, action, tuple(flipped), tuple(work), at))
 
     for k in range(1, n + 1):
-        col = _column_of(eps, k)
+        col = _column(eps, k)
         suffix = [0] * (k + 2)
         for i in range(k, 0, -1):
             suffix[i] = suffix[i + 1] + col[i - 1]
@@ -158,6 +169,17 @@ def test_matches_reference_for_every_vector_up_to_twelve():
 @pytest.mark.parametrize("n,count", [(64, 6), (128, 3), (200, 2)])
 def test_certificates_match_reference_on_random_vectors(n, count):
     for eps in _random_vectors(n, count, seed=n):
+        assert certificate_to_json(build_certificate(eps)) == certificate_to_json(
+            _reference_certificate(eps)
+        ), eps
+
+
+def test_certificates_match_reference_on_mid_size_vectors():
+    # sizes between the exhaustive sweep (n <= 12) and the n = 64 samples
+    rng = random.Random(1340)
+    for _ in range(200):
+        n = rng.randint(13, 40)
+        eps = tuple(rng.choice((PLUS, MINUS)) for _ in range(n))
         assert certificate_to_json(build_certificate(eps)) == certificate_to_json(
             _reference_certificate(eps)
         ), eps

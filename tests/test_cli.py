@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from signschemes import oracle
+from signschemes import cli, oracle
 from signschemes.cli import main, run_suites
 from signschemes.errors import DomainError
 from signschemes.moves import Certificate, Move, certificate_to_json
@@ -306,6 +306,33 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: {text}, cap is 99\n"
+
+    @pytest.mark.parametrize(
+        "argv,text,spied",
+        [
+            (
+                ("--suite", "lemmas", "--n-max", "16", "--samples", "4000000"),
+                "verify_inequalities would draw 12000000 floats",
+                "verify_identities",
+            ),
+            (
+                ("--suite", "bound", "--n-max", "41", "--samples", "250000"),
+                "verify_bound would draw 10250000 floats",
+                "verify_bound",
+            ),
+        ],
+    )
+    def test_later_run_over_cap_refuses_before_the_first_run(
+        self, capsys, monkeypatch, argv, text, spied
+    ):
+        # the first run is under its cap, a later one is not: nothing runs
+        calls = []
+        monkeypatch.setattr(cli, spied, lambda *args, **kwargs: calls.append(args))
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {text}, cap is 10000000\n"
+        assert calls == []
 
     def test_run_suites_rejects_bad_counts(self):
         for n_max, samples in ((0, 10), (2.5, 10), (2, -5), (2, 1.5), (2, True)):

@@ -194,6 +194,26 @@ def test_grid_max_attains_bound(n, step, point):
     assert rep.evaluations == (2 * round(1 / step) + 1) ** n
 
 
+def test_grid_max_cuts_a_long_coordinate_into_batches(monkeypatch):
+    # step 1e-6 gives 2,000,001 points on one coordinate: nine blocks of
+    # at most _BATCH points, not one evaluation per point
+    sizes = []
+
+    def counting(X):
+        sizes.append(len(X))
+        assert len(sizes) <= 9, "more blocks than 2,000,001 / _BATCH"
+        return evaluate.eval_q_batch(X)
+
+    monkeypatch.setattr(oracle, "eval_q_batch", counting)
+    rep = grid_max(1, 1e-6)
+    assert len(sizes) == 9
+    assert max(sizes) == oracle._BATCH and sum(sizes) == 2_000_001
+    monkeypatch.setattr(oracle, "_BATCH", 2_000_001)
+    sizes.clear()
+    assert grid_max(1, 1e-6) == rep
+    assert sizes == [2_000_001]
+
+
 def test_grid_max_validates_step():
     with pytest.raises(DomainError):
         grid_max(2, 0.3)
