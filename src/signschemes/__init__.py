@@ -27,7 +27,6 @@ from .evaluate import (
     check_factor_inequality,
     eval_f,
     eval_f_batch,
-    eval_factor,
     eval_p,
     eval_q,
     eval_q_batch,

@@ -132,17 +132,6 @@ def eval_q(x, exact: bool = False):
     return _product(_in_cube(_coords(x, exact), -1), None, exact)
 
 
-def eval_factor(scheme: Scheme, z, i: int, j: int, exact: bool = False):
-    """The single factor 1 - C[i,j] * z_i * ... * z_j."""
-    coords = _scheme_coords(scheme, z, exact)
-    s = scheme.sign(i, j)
-    prod = Fraction(1) if exact else 1
-    for k in range(i - 1, j):
-        prod *= coords[k]
-    value = 1 - s * prod
-    return value if exact else float(value)
-
-
 def eval_f(scheme: Scheme, z, exact: bool = False):
     """The scheme product prod_{i<=j} (1 - C[i,j] z_i ... z_j) on [0, 1]^n."""
     return _product(_scheme_coords(scheme, z, exact), scheme.rows, exact)

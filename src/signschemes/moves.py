@@ -22,6 +22,11 @@ __new__ (kind, then index types, then index ranges), with read-only
 properties for its fields. Moves equal and hash by value, and a Move
 never equals a plain tuple. A certificate round trip makes one Move per
 move, so construction is one validating call.
+
+certificate_to_json writes the certificate text from one %d template
+per move kind, without building dicts; the text is byte-equal to
+json.dumps(certificate_to_obj(cert), separators=(",", ":")), which
+tests/test_moves.py::test_certificate_to_json_is_json_dumps_of_obj pins.
 """
 
 from __future__ import annotations
@@ -217,8 +222,24 @@ def certificate_to_obj(cert: Certificate) -> dict:
     }
 
 
+# Per kind, the JSON text of one move and its index fields in key order.
+# %d prints an int subclass as int.__repr__ does, as json.dumps does.
+_MOVE_JSON = {
+    POINT: ('{"kind":"P","i":%d,"j":%d}', itemgetter(1, 2)),
+    HORIZONTAL: ('{"kind":"H","i":%d,"j":%d,"j2":%d}', itemgetter(1, 2, 4)),
+    VERTICAL: ('{"kind":"V","i":%d,"i2":%d,"j":%d}', itemgetter(1, 3, 2)),
+    SQUARE: ('{"kind":"S","i":%d,"i2":%d,"j":%d,"j2":%d}', itemgetter(1, 3, 2, 4)),
+}
+
+
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_obj(cert), separators=(",", ":"))
+    """Compact JSON, equal byte for byte to json.dumps of certificate_to_obj."""
+    moves = []
+    for m in cert.moves:
+        template, fields = _MOVE_JSON[m[0]]
+        moves.append(template % fields(m))
+    eps = ",".join(map(str, cert.eps))
+    return '{"n":%d,"eps":[%s],"moves":[%s]}' % (cert.n, eps, ",".join(moves))
 
 
 def certificate_from_obj(obj) -> Certificate:

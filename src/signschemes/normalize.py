@@ -248,11 +248,14 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
         failures.append("certificate sign vector differs from the input vector")
 
     # the generated scheme, grid[i-1][j-i] as in Scheme, from prefix
-    # products: C[i,j] = eps[i]*...*eps[j] = pre[i-1]*pre[j], as pre is +-1
+    # products: C[i,j] = eps[i]*...*eps[j] = pre[i-1]*pre[j], as pre is +-1,
+    # so row i is a slice of pre or of its negation; each slice is a new
+    # list, so flipping a cell of one row leaves every other row alone
     pre = [1]
     for e in eps:
         pre.append(pre[-1] * e)
-    grid = [[p * q for q in pre[i:]] for i, p in enumerate(pre[:-1], 1)]
+    neg = [-p for p in pre]
+    grid = [(pre if p == 1 else neg)[i:] for i, p in enumerate(pre[:-1], 1)]
     seen: set[tuple[int, int]] = set()
     disjoint = True
     preconditions_ok = True

@@ -210,6 +210,18 @@ def test_residual_matches_reference_on_foreign_vectors():
                 assert check_certificate(other, cert) == _reference_check(other, cert)
 
 
+def test_flipping_one_cell_leaves_rows_of_the_same_prefix_sign_alone():
+    # the all-minus vector generates the target, and its rows 1, 3, 5, 7
+    # (and 2, 4, 6, 8) start with the same prefix sign: the checker's rows
+    # must be separate lists, or one flip shows up in several rows
+    eps = (MINUS,) * 8
+    cert = Certificate(eps, (Move.point(3, 6),))
+    report = check_certificate(eps, cert)
+    assert report == _reference_check(eps, cert)
+    assert report.preconditions_ok and not report.accepted
+    assert report.residual_wrong == ((3, 6),)
+
+
 def test_every_single_index_change_matches_reference():
     # each index of each move set to every value from -1 to n+2: moves
     # that are invalid, outside the triangle, overlapping or misplaced

