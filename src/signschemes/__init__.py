@@ -68,20 +68,15 @@ from .schemes import (
     MINUS,
     PLUS,
     Scheme,
-    WrongCounts,
     all_sign_vectors,
     as_sign_vector,
     format_signs,
     generate_scheme,
-    horizontal_sum,
     is_reference,
     parse_signs,
     reference_scheme,
     reference_sign,
     sign_char,
-    square_sign_product,
-    vertical_sum,
-    wrong_counts,
     wrong_set,
 )
 

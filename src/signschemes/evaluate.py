@@ -17,11 +17,15 @@ into the third. All evaluators support double-precision floats (default)
 and exact rationals (exact=True); integer inputs stay exact in both modes.
 
 The cube and scheme products share one scalar and one batch kernel, each
-taking the sign triangle (None: +1 everywhere) and sharing no code with
-the other, so each checks the other. The batch kernel runs on blocks of
-CHUNK rows, transposed to contiguous columns and updated in place. It is
-bit-identical to a row-by-row loop: the same factors in the same order,
-with 1 - s*p written as 1 - p or 1 + p, the same IEEE operation.
+taking the signs (None: +1 everywhere) and sharing no code with the
+other, so each checks the other. The batch kernel runs on blocks of at
+most CHUNK rows, transposed to contiguous columns and updated in place.
+eval_f_batch takes one scheme or a sequence of schemes, each applied to
+its own equal group of consecutive rows; the kernel keeps one row of
+signs per scheme and broadcasts it over that scheme's rows. It is
+bit-identical to a row-by-row loop: the same factors in the same order.
+A scheme factor is computed as 1 - s*p; s*p is exact for s = +-1, and
+IEEE defines x - y as x + (-y), so this is 1 - p or 1 + p to the bit.
 """
 
 from __future__ import annotations
@@ -152,23 +156,53 @@ def chamber_of(x) -> tuple[tuple[int, ...], tuple]:
     return eps, z
 
 
-def _product_batch(X: np.ndarray, rows) -> np.ndarray:
-    """_product for every row of the (m, n) float array X."""
+def _blocks(groups: int, size: int):
+    """(first row, first group, groups, rows per group) of each kernel block.
+
+    A block is whole groups when a group fits in CHUNK rows, otherwise a
+    piece of at most CHUNK rows of one group.
+    """
+    if size <= CHUNK:
+        step = CHUNK // size
+        for g0 in range(0, groups, step):
+            yield g0 * size, g0, min(step, groups - g0), size
+    else:
+        for g0 in range(groups):
+            for r0 in range(0, size, CHUNK):
+                yield g0 * size + r0, g0, 1, min(CHUNK, size - r0)
+
+
+def _product_batch(X: np.ndarray, signs=None) -> np.ndarray:
+    """_product for every row of the (m, n) float array X.
+
+    signs is None (+1 everywhere) or a (G, n(n+1)/2) float array whose row
+    g holds a sign triangle row by row; it applies to the g-th of G equal
+    groups of consecutive rows of X.
+    """
     m, n = X.shape
     out = np.ones(m)
+    groups = 1 if signs is None else len(signs)
+    size = m // groups
+    if not size:
+        return out
     factor = np.empty(min(m, CHUNK))
-    for s in range(0, m, CHUNK):
+    for s, g0, g, r in _blocks(groups, size):
         # A private copy: row i becomes the running product x_i ... x_j.
-        T = np.array(X[s : s + CHUNK].T, order="C")
-        total, f = out[s : s + T.shape[1]], factor[: T.shape[1]]
+        T = np.array(X[s : s + g * r].T, order="C")
+        total = out[s : s + g * r].reshape(g, r)
+        f = factor[: g * r].reshape(g, r)
+        # column c of the block's signs, shaped (g, 1) to broadcast over rows
+        cols = None if signs is None else iter(signs[g0 : g0 + g].T[:, :, None])
         for i, p in enumerate(T):
+            prod = p.reshape(g, r)
             for j in range(i, n):
                 if j > i:
                     np.multiply(p, T[j], p)
-                if rows is None or rows[i][j - i] == PLUS:
-                    np.subtract(1.0, p, f)
+                if cols is None:
+                    np.subtract(1.0, prod, f)
                 else:
-                    np.add(1.0, p, f)
+                    np.multiply(next(cols), prod, f)
+                    np.subtract(1.0, f, f)
                 np.multiply(total, f, total)
     return out
 
@@ -190,12 +224,39 @@ def _batch(X, lo: int, n: int | None = None) -> np.ndarray:
 
 def eval_q_batch(X) -> np.ndarray:
     """Cube product for every row of an (m, n) float array in [-1, 1]^n."""
-    return _product_batch(_batch(X, -1), None)
+    return _product_batch(_batch(X, -1))
 
 
-def eval_f_batch(scheme: Scheme, Z) -> np.ndarray:
-    """Scheme product for every row of an (m, n) float array in [0,1]^n."""
-    return _product_batch(_batch(Z, 0, scheme.n), scheme.rows)
+def eval_f_batch(schemes, Z) -> np.ndarray:
+    """Scheme product for every row of an (m, n) float array in [0,1]^n.
+
+    schemes is one Scheme or a non-empty sequence of G schemes of size n.
+    The rows of Z split into G equal groups of consecutive rows, and group
+    g is evaluated with schemes[g]; one Scheme is the one-group case. The
+    values are bit-identical to one call per group: each factor is
+    1 - s*p, which for s = +-1 is exactly the IEEE 1 - p or 1 + p.
+    """
+    if isinstance(schemes, Scheme):
+        schemes = (schemes,)
+    try:
+        schemes = tuple(schemes)
+    except TypeError:
+        raise DomainError(f"expected a scheme or schemes, got {schemes!r}") from None
+    if not schemes:
+        raise DimensionError("eval_f_batch needs at least one scheme")
+    if not all(isinstance(s, Scheme) for s in schemes):
+        raise DomainError("eval_f_batch takes Scheme objects only")
+    n = schemes[0].n
+    if any(s.n != n for s in schemes):
+        sizes = sorted({s.n for s in schemes})
+        raise DimensionError(f"schemes of different sizes {sizes} in one batch")
+    X = _batch(Z, 0, n)
+    if len(X) % len(schemes):
+        raise DimensionError(
+            f"{len(X)} rows do not split into {len(schemes)} equal groups"
+        )
+    signs = np.array([[v for row in s.rows for v in row] for s in schemes], float)
+    return _product_batch(X, signs)
 
 
 # The four core inequalities on [0,1]: the sides (lhs, rhs) of each, in

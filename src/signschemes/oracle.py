@@ -61,7 +61,7 @@ from .schemes import (
 _BATCH = 250_000
 _GRID_POINT_CAP = 40_000_000
 # Floats a sampled suite draws into one array (80 MB): the points of
-# verify_inequalities, one move's z-samples, one batch of verify_bound.
+# verify_inequalities, one block of z-samples, one batch of verify_bound.
 _FLOAT_CAP = 10_000_000
 # verify_monotonicity sweeps every sign vector, so it stops at this n.
 MONOTONICITY_N_MAX = 8
@@ -553,15 +553,54 @@ class MonotonicityReport:
         )
 
 
+def _move_violations(moves, schemes, Z, eps, samples_per_move: int) -> list[str]:
+    """Check a run of moves on their z-samples, samples_per_move rows each.
+
+    schemes[k] and schemes[k + 1] are the schemes before and after
+    moves[k], and move k's samples are rows k*samples_per_move onward of Z.
+    """
+    f_before = eval_f_batch(schemes[:-1], Z)
+    f_after = eval_f_batch(schemes[1:], Z)
+    violations = []
+    for k, move in enumerate(moves):
+        rows = slice(k * samples_per_move, (k + 1) * samples_per_move)
+        Zk, scheme = Z[rows], schemes[k]
+        local = np.ones(samples_per_move)
+        for (i, j) in move.touched_positions():
+            prods = np.prod(Zk[:, i - 1 : j], axis=1)
+            local = local * (1 - scheme.sign(i, j) * prods)
+        worst_local = float(np.max(local)) if samples_per_move else 0.0
+        if not worst_local <= 1 + FACTOR_TOL:
+            violations.append(
+                f"local factor product {worst_local} > 1 for {move} on {eps}"
+            )
+        before, after = f_before[rows], f_after[rows]
+        # written so that a NaN on either side counts as a drop
+        drop = np.nonzero(~(before <= after + PRODUCT_TOL))[0]
+        for idx in drop[:10]:
+            violations.append(
+                f"F decreased across {move} on {eps} "
+                f"at z={tuple(Zk[idx].tolist())}: "
+                f"{float(before[idx])} > {float(after[idx])}"
+            )
+    return violations
+
+
 def verify_monotonicity(
     n_max: int, samples_per_move: int = 100, seed: int = 0
 ) -> MonotonicityReport:
     """Replay every certificate up to n_max, sampling F before and after
     each move and checking the local factor-product bound.
 
-    For each move, fresh uniform z-samples verify F_before <= F_after up
-    to PRODUCT_TOL and that the product of the move's touched factors in
-    the pre-move scheme stays <= 1 up to FACTOR_TOL.
+    Each move gets its own samples_per_move uniform z-samples, which must
+    give F_before <= F_after up to PRODUCT_TOL; the product of the move's
+    touched factors in the pre-move scheme must stay <= 1 up to
+    FACTOR_TOL. A certificate's moves are replayed first and then checked
+    together: one draw of z-samples for all of them, and one grouped
+    eval_f_batch call for the schemes before the moves and one for the
+    schemes after. The draws are the same numbers as one draw per move. A
+    long certificate is split into blocks of moves, so that no draw holds
+    more than _FLOAT_CAP floats.
     """
     n_max = check_count("n_max", n_max, 1)
     samples_per_move = check_count("samples_per_move", samples_per_move)
@@ -570,36 +609,20 @@ def verify_monotonicity(
     certificates = moves_checked = 0
     violations: list[str] = []
     for n in range(1, n_max + 1):
+        per_draw = _FLOAT_CAP // max(1, n * samples_per_move)  # moves per draw
         for eps in all_sign_vectors(n):
             cert = build_certificate(eps)
             certificates += 1
-            scheme = generate_scheme(eps)
+            moves_checked += len(cert.moves)
+            schemes = [generate_scheme(eps)]
             for move in cert.moves:
-                moves_checked += 1
-                Z = rng.uniform(0.0, 1.0, size=(samples_per_move, n))
-                local = np.ones(samples_per_move)
-                for (i, j) in move.touched_positions():
-                    prods = np.prod(Z[:, i - 1 : j], axis=1)
-                    local = local * (1 - scheme.sign(i, j) * prods)
-                worst_local = float(np.max(local)) if samples_per_move else 0.0
-                if not worst_local <= 1 + FACTOR_TOL:
-                    violations.append(
-                        f"local factor product {worst_local} > 1 "
-                        f"for {move} on {eps}"
-                    )
-                after = apply_move(scheme, move)
-                f_before = eval_f_batch(scheme, Z)
-                f_after = eval_f_batch(after, Z)
-                # written so that a NaN on either side counts as a drop
-                drop = np.nonzero(~(f_before <= f_after + PRODUCT_TOL))[0]
-                for idx in drop[:10]:
-                    violations.append(
-                        f"F decreased across {move} on {eps} "
-                        f"at z={tuple(Z[idx].tolist())}: "
-                        f"{float(f_before[idx])} > {float(f_after[idx])}"
-                    )
-                scheme = after
-            if not is_reference(scheme):
+                schemes.append(apply_move(schemes[-1], move))
+            for a in range(0, len(cert.moves), per_draw):
+                moves = cert.moves[a : a + per_draw]
+                Z = rng.uniform(0.0, 1.0, size=(len(moves) * samples_per_move, n))
+                block = schemes[a : a + len(moves) + 1]
+                violations += _move_violations(moves, block, Z, eps, samples_per_move)
+            if not is_reference(schemes[-1]):
                 violations.append(f"certificate for {eps} does not reach the target")
     return MonotonicityReport(
         n_max=n_max,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import DimensionError, DomainError, TriangleIndexError, check_count
 
@@ -81,22 +81,6 @@ def parse_signs(text: str) -> tuple[int, ...]:
 
 def format_signs(eps) -> str:
     return " ".join(sign_char(v) for v in eps)
-
-
-class WrongCounts(NamedTuple):
-    """Counts of incorrectly signed entries in a row and column tail.
-
-    For a position (i, j): h_* count entries (i, u) with i <= u < j,
-    v_* count entries (v, j) with i < v <= j, split by the sign the
-    entry actually carries.
-    """
-
-    h_plus: int
-    h_minus: int
-    v_plus: int
-    v_minus: int
-    h: int
-    v: int
 
 
 @dataclass(frozen=True)
@@ -209,67 +193,6 @@ def wrong_set(scheme: Scheme) -> frozenset[tuple[int, int]]:
 
 def is_reference(scheme: Scheme) -> bool:
     return not wrong_set(scheme)
-
-
-def horizontal_sum(scheme: Scheme, i: int, j: int) -> int:
-    """Sum of the signs C[i, u] for i <= u < j."""
-    scheme.check_position(i, j)
-    return sum(scheme.rows[i - 1][: j - i])
-
-
-def vertical_sum(scheme: Scheme, i: int, j: int) -> int:
-    """Sum of the signs C[v, j] for i < v <= j."""
-    scheme.check_position(i, j)
-    return sum(scheme.sign(v, j) for v in range(i + 1, j + 1))
-
-
-def wrong_counts(scheme: Scheme, i: int, j: int) -> WrongCounts:
-    """Counts of wrongly signed entries left of and below (i, j).
-
-    Splits the row segment (i, u), i <= u < j, and the column segment
-    (v, j), i < v <= j, by the sign each wrong entry carries.
-    """
-    scheme.check_position(i, j)
-    h_plus = h_minus = 0
-    for u in range(i, j):
-        s = scheme.sign(i, u)
-        if s != reference_sign(i, u):
-            if s == PLUS:
-                h_plus += 1
-            else:
-                h_minus += 1
-    v_plus = v_minus = 0
-    for v in range(i + 1, j + 1):
-        s = scheme.sign(v, j)
-        if s != reference_sign(v, j):
-            if s == PLUS:
-                v_plus += 1
-            else:
-                v_minus += 1
-    return WrongCounts(
-        h_plus, h_minus, v_plus, v_minus, h_plus - h_minus, v_plus - v_minus
-    )
-
-
-def square_sign_product(scheme: Scheme, i: int, i2: int, j: int, j2: int) -> int:
-    """Product C[i,j] * C[i2,j] * C[i,j2] * C[i2,j2] for i < i2 < j < j2.
-
-    For generated schemes this is always +1: each factor is a consecutive
-    product of eps entries and every eps entry appears an even number of
-    times across the four corners.
-    """
-    if not (i < i2 < j < j2):
-        raise TriangleIndexError(
-            f"square corners need i < i2 < j < j2, got ({i}, {i2}; {j}, {j2})"
-        )
-    scheme.check_position(i, j)
-    scheme.check_position(i2, j2)
-    return (
-        scheme.sign(i, j)
-        * scheme.sign(i2, j)
-        * scheme.sign(i, j2)
-        * scheme.sign(i2, j2)
-    )
 
 
 def all_sign_vectors(n: int) -> Iterator[tuple[int, ...]]:

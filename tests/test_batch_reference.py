@@ -5,6 +5,11 @@ double loop per product, and for the batch versions a fresh array for
 every intermediate. The package evaluates the cube and scheme products
 with one scalar and one chunked, in-place batch kernel; both must give
 the same numbers to the last bit.
+
+eval_f_batch also takes a sequence of schemes, one per equal group of
+consecutive rows. Each row's value depends only on that row and its
+scheme, so a grouped call must equal, bit for bit, each scheme applied
+to all rows and read at its own group's rows.
 """
 
 import random
@@ -14,6 +19,8 @@ import numpy as np
 import pytest
 
 from signschemes import (
+    DimensionError,
+    DomainError,
     eval_f,
     eval_f_batch,
     eval_q,
@@ -175,3 +182,53 @@ def test_scalar_kernel_matches_reference():
             assert eval_f(generated, tuple(map(abs, xi))) == _reference_f(
                 generated, tuple(map(abs, xi))
             )
+
+
+# (rows per group, groups): with more than CHUNK rows in all, and groups
+# that cover row CHUNK or 2 * CHUNK in their middle
+GROUPINGS = ((1, CHUNK + 5), (7, CHUNK // 7 + 3), (CHUNK - 1, 3), (CHUNK + 1, 2))
+
+
+@pytest.mark.parametrize("size,groups", GROUPINGS)
+def test_grouped_batch_matches_per_scheme_calls(size, groups):
+    rng = np.random.default_rng(size)
+    for n in range(1, 10):
+        generated, target = _schemes(n)
+        distinct = (generated, target, generated.with_flipped([(1, n)]))
+        pick = rng.integers(0, len(distinct), size=groups)
+        schemes = [distinct[k] for k in pick]
+        Z = rng.uniform(0.0, 1.0, size=(size * groups, n))
+        got = eval_f_batch(schemes, Z)
+        rows = np.repeat(pick, size)
+        for k, scheme in enumerate(distinct):
+            mine = rows == k
+            _assert_same_bits(got[mine], eval_f_batch(scheme, Z)[mine])
+            _assert_same_bits(got[mine], _reference_f_batch(scheme, Z)[mine])
+
+
+def test_grouped_batch_edge_cases():
+    rng = np.random.default_rng(3)
+    for n in range(1, 10):
+        generated, target = _schemes(n)
+        empty = eval_f_batch([generated, target, generated], np.empty((0, n)))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        Z = rng.uniform(0.0, 1.0, size=(CHUNK + 2, n))
+        _assert_same_bits(eval_f_batch([generated], Z), eval_f_batch(generated, Z))
+        _assert_same_bits(eval_f_batch((target,), Z), _reference_f_batch(target, Z))
+
+
+def test_grouped_batch_rejects_bad_groups():
+    Z = np.full((6, 3), 0.5)
+    s3, s2 = reference_scheme(3), reference_scheme(2)
+    for schemes, z in (
+        ([s3] * 4, Z),  # 6 rows do not split into 4 groups
+        ([s3, s2], Z),  # mixed sizes
+        ([s2, s3], np.full((6, 2), 0.5)),
+        ([], Z),
+        ((), np.empty((0, 3))),
+    ):
+        with pytest.raises(DimensionError):
+            eval_f_batch(schemes, z)
+    for schemes in ([s3, (1, 1, 1)], [None], 5):
+        with pytest.raises(DomainError):
+            eval_f_batch(schemes, Z)

@@ -12,11 +12,22 @@ meshgrid of its last n - 1 coordinates, one block per first coordinate,
 and the random phase as a countdown of batches. The package feeds both
 through one bounded sweep; the reports must be equal, points, findings
 and evaluation counts included.
+
+_reference_monotonicity is verify_monotonicity as first written: one
+draw of z-samples and two eval_f_batch calls per move. The package draws
+and evaluates a certificate's moves together; the reports must be equal.
+
+The scalar helpers WrongCounts, horizontal_sum, vertical_sum,
+wrong_counts and square_sign_product live here, not in the package:
+they are the independent reference for the identity sweep, and
+tests/test_schemes.py tests them on their own.
 """
 
 import itertools
 import math
 import tracemalloc
+from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,22 +35,104 @@ import pytest
 from signschemes import (
     IdentityReport,
     MaxReport,
+    MonotonicityReport,
+    Scheme,
+    TriangleIndexError,
     all_sign_vectors,
+    apply_move,
+    build_certificate,
     candidate_maximizers,
+    eval_f_batch,
     eval_q,
     eval_q_batch,
     generate_scheme,
     grid_max,
-    horizontal_sum,
+    is_reference,
     qmax_bound,
-    square_sign_product,
+    reference_sign,
     verify_bound,
     verify_identities,
-    vertical_sum,
-    wrong_counts,
+    verify_monotonicity,
 )
 from signschemes import oracle
 from signschemes.schemes import MINUS, PLUS
+
+
+class WrongCounts(NamedTuple):
+    """Counts of incorrectly signed entries in a row and column tail.
+
+    For a position (i, j): h_* count entries (i, u) with i <= u < j,
+    v_* count entries (v, j) with i < v <= j, split by the sign the
+    entry actually carries.
+    """
+
+    h_plus: int
+    h_minus: int
+    v_plus: int
+    v_minus: int
+    h: int
+    v: int
+
+
+def horizontal_sum(scheme: Scheme, i: int, j: int) -> int:
+    """Sum of the signs C[i, u] for i <= u < j."""
+    scheme.check_position(i, j)
+    return sum(scheme.rows[i - 1][: j - i])
+
+
+def vertical_sum(scheme: Scheme, i: int, j: int) -> int:
+    """Sum of the signs C[v, j] for i < v <= j."""
+    scheme.check_position(i, j)
+    return sum(scheme.sign(v, j) for v in range(i + 1, j + 1))
+
+
+def wrong_counts(scheme: Scheme, i: int, j: int) -> WrongCounts:
+    """Counts of wrongly signed entries left of and below (i, j).
+
+    Splits the row segment (i, u), i <= u < j, and the column segment
+    (v, j), i < v <= j, by the sign each wrong entry carries.
+    """
+    scheme.check_position(i, j)
+    h_plus = h_minus = 0
+    for u in range(i, j):
+        s = scheme.sign(i, u)
+        if s != reference_sign(i, u):
+            if s == PLUS:
+                h_plus += 1
+            else:
+                h_minus += 1
+    v_plus = v_minus = 0
+    for v in range(i + 1, j + 1):
+        s = scheme.sign(v, j)
+        if s != reference_sign(v, j):
+            if s == PLUS:
+                v_plus += 1
+            else:
+                v_minus += 1
+    return WrongCounts(
+        h_plus, h_minus, v_plus, v_minus, h_plus - h_minus, v_plus - v_minus
+    )
+
+
+def square_sign_product(scheme: Scheme, i: int, i2: int, j: int, j2: int) -> int:
+    """Product C[i,j] * C[i2,j] * C[i,j2] * C[i2,j2] for i < i2 < j < j2.
+
+    For generated schemes this is always +1: each factor is a consecutive
+    product of eps entries and every eps entry appears an even number of
+    times across the four corners.
+    """
+    if not (i < i2 < j < j2):
+        raise TriangleIndexError(
+            f"square corners need i < i2 < j < j2, got ({i}, {i2}; {j}, {j2})"
+        )
+    scheme.check_position(i, j)
+    scheme.check_position(i2, j2)
+    return (
+        scheme.sign(i, j)
+        * scheme.sign(i2, j)
+        * scheme.sign(i, j2)
+        * scheme.sign(i2, j2)
+    )
 
 
 def _reference_identities(n_max, seed=0, generate=generate_scheme, exhaustive_n=16):
@@ -284,3 +377,95 @@ def test_grid_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _reference_monotonicity(n_max, samples_per_move, seed=0):
+    rng = np.random.default_rng(seed)
+    certificates = moves_checked = 0
+    violations = []
+    for n in range(1, n_max + 1):
+        for eps in all_sign_vectors(n):
+            cert = build_certificate(eps)
+            certificates += 1
+            scheme = generate_scheme(eps)
+            for move in cert.moves:
+                moves_checked += 1
+                Z = rng.uniform(0.0, 1.0, size=(samples_per_move, n))
+                local = np.ones(samples_per_move)
+                for (i, j) in move.touched_positions():
+                    prods = np.prod(Z[:, i - 1 : j], axis=1)
+                    local = local * (1 - scheme.sign(i, j) * prods)
+                worst_local = float(np.max(local)) if samples_per_move else 0.0
+                if not worst_local <= 1 + oracle.FACTOR_TOL:
+                    violations.append(
+                        f"local factor product {worst_local} > 1 "
+                        f"for {move} on {eps}"
+                    )
+                after = apply_move(scheme, move)
+                f_before = eval_f_batch(scheme, Z)
+                f_after = eval_f_batch(after, Z)
+                drop = np.nonzero(~(f_before <= f_after + oracle.PRODUCT_TOL))[0]
+                for idx in drop[:10]:
+                    violations.append(
+                        f"F decreased across {move} on {eps} "
+                        f"at z={tuple(Z[idx].tolist())}: "
+                        f"{float(f_before[idx])} > {float(f_after[idx])}"
+                    )
+                scheme = after
+            if not is_reference(scheme):
+                violations.append(f"certificate for {eps} does not reach the target")
+    return MonotonicityReport(
+        n_max=n_max,
+        certificates=certificates,
+        moves_checked=moves_checked,
+        samples_per_move=samples_per_move,
+        seed=seed,
+        violations=tuple(sorted(violations)),
+    )
+
+
+MONOTONICITY_CASES = [(8, 10, 101), (6, 3, 7), (5, 0, 1), (4, 100, 2), (3, 1, 0)]
+
+
+@pytest.mark.parametrize("n_max,samples,seed", MONOTONICITY_CASES)
+def test_monotonicity_matches_reference(n_max, samples, seed):
+    rep = verify_monotonicity(n_max, samples_per_move=samples, seed=seed)
+    assert rep == _reference_monotonicity(n_max, samples, seed)
+    assert rep.violations == ()
+
+
+@pytest.mark.parametrize("n_max,samples,seed", MONOTONICITY_CASES + [(4, 12, 3)])
+def test_monotonicity_violations_match_reference(monkeypatch, n_max, samples, seed):
+    # tolerances below almost every gap turn each sample into a
+    # violation; at most 10 "F decreased" lines are kept per move
+    monkeypatch.setattr(oracle, "FACTOR_TOL", -10.0)
+    monkeypatch.setattr(oracle, "PRODUCT_TOL", -10.0)
+    rep = verify_monotonicity(n_max, samples_per_move=samples, seed=seed)
+    assert rep == _reference_monotonicity(n_max, samples, seed)
+    drops = Counter(
+        v.split(" at z=")[0] for v in rep.violations if v.startswith("F decreased")
+    )
+    assert len(drops) == (rep.moves_checked if samples else 0)
+    assert max(drops.values(), default=0) == min(samples, 10)
+    local = [v for v in rep.violations if v.startswith("local factor")]
+    assert len(local) == rep.moves_checked
+
+
+def test_monotonicity_draws_stay_under_the_float_cap(monkeypatch):
+    # 30 floats per draw: at n = 5 and 3 samples per move, two moves per
+    # draw, so every certificate with more than two moves is split
+    shapes = []
+
+    def spy(schemes, Z):
+        shapes.append((len(schemes), np.shape(Z)))
+        return eval_f_batch(schemes, Z)
+
+    monkeypatch.setattr(oracle, "_FLOAT_CAP", 30)
+    monkeypatch.setattr(oracle, "eval_f_batch", spy)
+    rep = verify_monotonicity(5, samples_per_move=3, seed=4)
+    assert rep == _reference_monotonicity(5, 3, seed=4)
+    assert all(rows * n <= 30 for _, (rows, n) in shapes)
+    assert all(rows == 3 * groups for groups, (rows, _) in shapes)
+    assert max(n * groups for groups, (_, n) in shapes) == 10
+    assert sum(groups for groups, _ in shapes) == 2 * rep.moves_checked
+    assert len(shapes) > 2 * rep.certificates

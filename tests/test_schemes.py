@@ -1,4 +1,8 @@
-"""Scheme generation, wrongness classification, and counting identities."""
+"""Scheme generation, wrongness classification, and counting identities.
+
+The counting identities are checked with the scalar helpers that
+tests/test_oracle_reference.py keeps as the identity sweep's reference.
+"""
 
 import itertools
 
@@ -14,21 +18,23 @@ from signschemes import (
     DomainError,
     Scheme,
     TriangleIndexError,
-    WrongCounts,
     all_sign_vectors,
     as_sign_vector,
     format_signs,
     generate_scheme,
-    horizontal_sum,
     is_reference,
     parse_signs,
     reference_scheme,
     reference_sign,
     sign_char,
+    wrong_set,
+)
+from test_oracle_reference import (
+    WrongCounts,
+    horizontal_sum,
     square_sign_product,
     vertical_sum,
     wrong_counts,
-    wrong_set,
 )
 
 TEST_SETTINGS = settings(max_examples=200, deadline=None)
