@@ -204,7 +204,13 @@ class Certificate:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", as_sign_vector(self.eps))
-        object.__setattr__(self, "moves", tuple(self.moves))
+        try:
+            moves = iter(self.moves)
+        except TypeError:
+            raise DomainError(
+                f"certificate moves must be iterable, got {type(self.moves).__name__}"
+            ) from None
+        object.__setattr__(self, "moves", tuple(moves))
         for m in self.moves:
             if not isinstance(m, Move):
                 raise DomainError(f"certificate moves must be Move, got {m!r}")
@@ -265,4 +271,10 @@ def certificate_from_obj(obj) -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """Parse certificate JSON text (str, bytes or bytearray)."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        got = type(text).__name__
+        raise DomainError(
+            f"certificate JSON must be str, bytes or bytearray, got {got}"
+        )
     return certificate_from_obj(json.loads(text))

@@ -34,6 +34,14 @@ touched twice, so the touched sets are disjoint and cover exactly the
 wrong set. V == 0, a missing pairing partner, a missing widening target,
 or a missing fourth corner would contradict the counting identities;
 those paths raise AlgorithmInvariantError and are bug signals.
+
+check_certificate shares no logic with the builder. It takes a
+Certificate only (anything else raises DomainError), builds its own grid
+from prefix slices and replays each move by kind: a Point reads one cell,
+a Horizontal or Vertical two and a Square four, compared with the kind's
+pattern in one test and, when they match, overwritten with the flipped
+values. Only a move that fails its pattern walks its positions, to name
+the first mismatch.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import AlgorithmInvariantError, DimensionError
+from .errors import AlgorithmInvariantError, DimensionError, DomainError
 from .moves import HORIZONTAL, POINT, SQUARE, VERTICAL, Certificate, Move
 from .schemes import (
     MINUS,
@@ -94,7 +102,8 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
         acc.append(acc[-1] + pre[-1])
         pre.append(pre[-1] * e)
     neg = [-p for p in pre]
-    made = cache(lambda m: Move(*m))  # one Move per distinct trace move
+    if steps is not None:
+        made = cache(lambda m: Move(*m))  # one Move per distinct trace move
 
     def emit(level, op, action, flipped, work):
         at = tuple(map(made, moves)) if op == OP_LEVEL else ()
@@ -145,7 +154,7 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
                     if work[top - 1] != PLUS or ref[top - 1] != MINUS:
                         raise AlgorithmInvariantError(
                             f"fourth corner ({top}, {k}) is not a wrong '+' "
-                            f"when widening {made(old)}"
+                            f"when widening {Move(*old)}"
                         )
                     new = (SQUARE, top, old[2], i, k)
                     work[top - 1] = MINUS
@@ -234,11 +243,16 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
     Checks that the certificate names the same sign vector, that no two
     moves touch the same position, that every move's sign pattern is
     present when the move is applied in sequence, and that the final
-    scheme is the target. Nothing is raised for a bad certificate; a
-    dimension mismatch between eps and cert is a usage error and does
-    raise.
+    scheme is the target. Moves are replayed by kind, reading and
+    flipping their cells directly (see the module docstring). Nothing is
+    raised for a bad certificate, but cert must be a Certificate (anything
+    else raises DomainError), and a dimension mismatch between eps and
+    cert raises DimensionError.
     """
     eps = as_sign_vector(eps)
+    if not isinstance(cert, Certificate):
+        got = type(cert).__name__
+        raise DomainError(f"certificate must be a Certificate, got {got}")
     n = len(eps)
     if cert.n != n:
         raise DimensionError(f"certificate is for n={cert.n}, input has n={n}")
@@ -256,40 +270,68 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
         pre.append(pre[-1] * e)
     neg = [-p for p in pre]
     grid = [(pre if p == 1 else neg)[i:] for i, p in enumerate(pre[:-1], 1)]
-    seen: set[tuple[int, int]] = set()
+    m = n + 1  # position (i, j) is keyed i*m + j in seen
+    seen: set[int] = set()
     disjoint = True
     preconditions_ok = True
     for idx, move in enumerate(cert.moves):
-        positions = move.touched_positions()
-        outside = mismatch = None
-        for pos, req in zip(positions, move.required_signs()):
-            i, j = pos
-            if not (1 <= i <= j <= n):
-                outside = pos
-                break
-            if mismatch is None and grid[i - 1][j - i] != req:
-                mismatch = (pos, req, grid[i - 1][j - i])
-        if outside is not None:
+        # a Move has 1 <= i <= j, i < i2 <= j and j < j2 for its kind, so
+        # only a column can leave the triangle, and (i, j) comes first
+        kind, i, j, i2, j2 = move
+        if (j2 or j) > n:
             preconditions_ok = False
+            outside = (i, j) if j > n else (i, j2)
             failures.append(f"move {idx} {move}: position {outside} outside triangle")
             continue
-        if not seen.isdisjoint(positions):
-            overlap = [p for p in positions if p in seen]
-            disjoint = False
-            failures.append(
-                f"move {idx} {move}: position {overlap[0]} already touched"
+        row = grid[i - 1]
+        a = j - i
+        if kind == POINT:
+            keys = (i * m + j,)
+            ok = row[a] == PLUS
+            if ok:
+                row[a] = MINUS
+        elif kind == HORIZONTAL:
+            b = j2 - i
+            keys = (i * m + j, i * m + j2)
+            ok = row[a] == PLUS and row[b] == MINUS
+            if ok:
+                row[a] = MINUS
+                row[b] = PLUS
+        elif kind == VERTICAL:
+            low, c = grid[i2 - 1], j - i2
+            keys = (i * m + j, i2 * m + j)
+            ok = row[a] == MINUS and low[c] == PLUS
+            if ok:
+                row[a] = PLUS
+                low[c] = MINUS
+        else:
+            low, b, c, d = grid[i2 - 1], j2 - i, j - i2, j2 - i2
+            keys = (i * m + j, i * m + j2, i2 * m + j, i2 * m + j2)
+            ok = (
+                row[a] == MINUS and row[b] == PLUS
+                and low[c] == PLUS and low[d] == MINUS
             )
-        seen.update(positions)
-        if mismatch is not None:
-            pos, req, found = mismatch
+            if ok:
+                row[a] = PLUS
+                row[b] = MINUS
+                low[c] = MINUS
+                low[d] = PLUS
+        if not seen.isdisjoint(keys):
+            disjoint = False
+            pos = next(p for p in move.touched_positions() if p[0] * m + p[1] in seen)
+            failures.append(f"move {idx} {move}: position {pos} already touched")
+        seen.update(keys)
+        if not ok:
             preconditions_ok = False
+            pos, req, found = next(
+                (p, req, grid[p[0] - 1][p[1] - p[0]])
+                for p, req in zip(move.touched_positions(), move.required_signs())
+                if grid[p[0] - 1][p[1] - p[0]] != req
+            )
             failures.append(
                 f"move {idx} {move}: needs '{sign_char(req)}' at {pos}, "
                 f"found '{sign_char(found)}'"
             )
-            continue
-        for i, j in positions:
-            grid[i - 1][j - i] *= -1
 
     # row i of the target is a prefix of row 1; scan only rows that differ
     top = [reference_sign(1, j) for j in range(1, n + 1)]

@@ -222,6 +222,174 @@ def test_flipping_one_cell_leaves_rows_of_the_same_prefix_sign_alone():
     assert report.residual_wrong == ((3, 6),)
 
 
+def _case(name, eps, moves, *failures):
+    return pytest.param(eps, moves, failures, id=name)
+
+
+# One move of each kind on n = 4 and, per kind, each way the replay can
+# treat it: outside the triangle at j (and at j2), an overlap whose pattern
+# still holds, so the move flips the shared cells back, an overlap that
+# also mismatches, and a first mismatch at each corner of the pattern. A
+# generated scheme has C[i,j]*C[i2,j2] = C[i,j2]*C[i2,j], so Square's last
+# corner is the first mismatch only after an earlier move flipped a cell.
+_P, _H = Move.point(2, 3), Move.horizontal(1, 2, 4)
+_V, _S = Move.vertical(1, 3, 3), Move.square(1, 2, 3, 4)
+_ALL_PLUS = (PLUS,) * 4
+_KIND_CASES = (
+    _case(
+        "P-outside-j",
+        _ALL_PLUS,
+        (_P, Move.point(1, 5)),
+        "move 1 Point(1;5): position (1, 5) outside triangle",
+    ),
+    _case(
+        "P-overlap",
+        (PLUS, PLUS, MINUS, PLUS),
+        (Move.horizontal(2, 2, 3), _P),
+        "move 1 Point(2;3): position (2, 3) already touched",
+    ),
+    _case(
+        "P-overlap-mismatch",
+        _ALL_PLUS,
+        (_P, _P),
+        "move 1 Point(2;3): position (2, 3) already touched",
+        "move 1 Point(2;3): needs '+' at (2, 3), found '-'",
+    ),
+    _case(
+        "P-mismatch-i-j",
+        (PLUS, PLUS, MINUS, PLUS),
+        (_P,),
+        "move 0 Point(2;3): needs '+' at (2, 3), found '-'",
+    ),
+    _case(
+        "H-outside-j",
+        _ALL_PLUS,
+        (Move.horizontal(1, 5, 6),),
+        "move 0 Horizontal(1;5,6): position (1, 5) outside triangle",
+    ),
+    _case(
+        "H-outside-j2",
+        _ALL_PLUS,
+        (Move.horizontal(2, 3, 5), _P),
+        "move 0 Horizontal(2;3,5): position (2, 5) outside triangle",
+    ),
+    _case(
+        "H-overlap",
+        _ALL_PLUS,
+        (Move.point(1, 4), _H),
+        "move 1 Horizontal(1;2,4): position (1, 4) already touched",
+    ),
+    _case(
+        "H-overlap-mismatch",
+        (PLUS, PLUS, PLUS, MINUS),
+        (_H, _H),
+        "move 1 Horizontal(1;2,4): position (1, 2) already touched",
+        "move 1 Horizontal(1;2,4): needs '+' at (1, 2), found '-'",
+    ),
+    _case(
+        "H-mismatch-i-j",
+        (PLUS, MINUS, PLUS, PLUS),
+        (_H,),
+        "move 0 Horizontal(1;2,4): needs '+' at (1, 2), found '-'",
+    ),
+    _case(
+        "H-mismatch-i-j2",
+        _ALL_PLUS,
+        (_H,),
+        "move 0 Horizontal(1;2,4): needs '-' at (1, 4), found '+'",
+    ),
+    _case(
+        "V-outside-j",
+        _ALL_PLUS,
+        (Move.vertical(1, 2, 5),),
+        "move 0 Vertical(1,2;5): position (1, 5) outside triangle",
+    ),
+    _case(
+        "V-overlap",
+        _ALL_PLUS,
+        (Move.point(1, 3), _V),
+        "move 1 Vertical(1,3;3): position (1, 3) already touched",
+    ),
+    _case(
+        "V-overlap-mismatch",
+        (PLUS, MINUS, PLUS, PLUS),
+        (_V, _V),
+        "move 1 Vertical(1,3;3): position (1, 3) already touched",
+        "move 1 Vertical(1,3;3): needs '-' at (1, 3), found '+'",
+    ),
+    _case(
+        "V-mismatch-i-j",
+        _ALL_PLUS,
+        (_V,),
+        "move 0 Vertical(1,3;3): needs '-' at (1, 3), found '+'",
+    ),
+    _case(
+        "V-mismatch-i2-j",
+        (PLUS, PLUS, MINUS, PLUS),
+        (_V,),
+        "move 0 Vertical(1,3;3): needs '+' at (3, 3), found '-'",
+    ),
+    _case(
+        "S-outside-j",
+        _ALL_PLUS,
+        (Move.square(1, 2, 5, 6),),
+        "move 0 Square(1,2;5,6): position (1, 5) outside triangle",
+    ),
+    _case(
+        "S-outside-j2",
+        _ALL_PLUS,
+        (_P, Move.square(1, 3, 4, 5)),
+        "move 1 Square(1,3;4,5): position (1, 5) outside triangle",
+    ),
+    _case(
+        "S-overlap",
+        (PLUS, PLUS, PLUS, MINUS),
+        (Move.horizontal(1, 3, 4), _S),
+        "move 1 Square(1,2;3,4): position (1, 3) already touched",
+    ),
+    _case(
+        "S-overlap-mismatch",
+        (MINUS, PLUS, PLUS, MINUS),
+        (_S, _S),
+        "move 1 Square(1,2;3,4): position (1, 3) already touched",
+        "move 1 Square(1,2;3,4): needs '-' at (1, 3), found '+'",
+    ),
+    _case(
+        "S-mismatch-i-j",
+        _ALL_PLUS,
+        (_S,),
+        "move 0 Square(1,2;3,4): needs '-' at (1, 3), found '+'",
+    ),
+    _case(
+        "S-mismatch-i-j2",
+        (PLUS, PLUS, MINUS, PLUS),
+        (_S,),
+        "move 0 Square(1,2;3,4): needs '+' at (1, 4), found '-'",
+    ),
+    _case(
+        "S-mismatch-i2-j",
+        (PLUS, PLUS, MINUS, MINUS),
+        (_S,),
+        "move 0 Square(1,2;3,4): needs '+' at (2, 3), found '-'",
+    ),
+    _case(
+        "S-mismatch-i2-j2",
+        _ALL_PLUS,
+        (Move.point(1, 3), _S),
+        "move 1 Square(1,2;3,4): position (1, 3) already touched",
+        "move 1 Square(1,2;3,4): needs '-' at (2, 4), found '+'",
+    ),
+)
+
+
+@pytest.mark.parametrize("eps, moves, failures", _KIND_CASES)
+def test_each_move_kind_matches_reference(eps, moves, failures):
+    cert = Certificate(eps, moves)
+    report = check_certificate(eps, cert)
+    assert report == _reference_check(eps, cert)
+    assert report.failures == failures
+
+
 def test_every_single_index_change_matches_reference():
     # each index of each move set to every value from -1 to n+2: moves
     # that are invalid, outside the triangle, overlapping or misplaced

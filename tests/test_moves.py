@@ -178,6 +178,8 @@ def test_certificate_json_golden():
     cert = Certificate(WORKED, WORKED_MOVES)
     assert certificate_to_json(cert) == WORKED_JSON
     assert certificate_from_json(WORKED_JSON) == cert
+    assert certificate_from_json(WORKED_JSON.encode()) == cert
+    assert certificate_from_json(bytearray(WORKED_JSON, "utf-8")) == cert
 
 
 class _Index(enum.IntEnum):
@@ -253,11 +255,19 @@ def test_certificate_obj_errors():
         certificate_from_json('{"eps":[true],"moves":[]}')
     with pytest.raises(DomainError):
         certificate_from_json('{"eps":[1.0,-1],"moves":[]}')
+    # only text is JSON: anything else is a DomainError, not json.loads'
+    # bare TypeError
+    for text in (5, None, {"eps": [1], "moves": []}, [b"{}"]):
+        with pytest.raises(DomainError, match="must be str, bytes or bytearray"):
+            certificate_from_json(text)
 
 
 def test_certificate_requires_moves():
     with pytest.raises(DomainError):
         Certificate((1,), ("not a move",))
+    for moves in (None, 5, Move.point):
+        with pytest.raises(DomainError, match="moves must be iterable"):
+            Certificate((1,), moves)
 
 
 def test_touched_disjoint():

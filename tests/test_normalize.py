@@ -12,9 +12,11 @@ from signschemes import (
     PLUS,
     Certificate,
     DimensionError,
+    DomainError,
     Move,
     all_sign_vectors,
     build_certificate,
+    certificate_to_obj,
     check_certificate,
     generate_scheme,
     reference_sign,
@@ -219,6 +221,13 @@ def test_checker_dimension_mismatch_raises():
     cert = build_certificate((PLUS, MINUS))
     with pytest.raises(DimensionError):
         check_certificate((PLUS, MINUS, PLUS), cert)
+
+
+def test_checker_requires_a_certificate():
+    cert = build_certificate(WORKED)
+    for bad in ("x", None, cert.moves, certificate_to_obj(cert)):
+        with pytest.raises(DomainError, match="must be a Certificate"):
+            check_certificate(WORKED, bad)
 
 
 def test_rebuilt_order_is_stable():
