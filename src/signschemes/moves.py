@@ -18,10 +18,14 @@ Move kinds, with the pattern required before the flip:
 Applying a move flips exactly the listed positions.
 
 A Move is an immutable (kind, i, j, i2, j2) tuple, validated once in
-__new__ (kind, then index types, then index ranges), with read-only
-properties for its fields. Moves equal and hash by value, and a Move
-never equals a plain tuple. A certificate round trip makes one Move per
-move, so construction is one validating call.
+__new__, with read-only properties for its fields. Moves equal and hash
+by value, and a Move never equals a plain tuple. A certificate round
+trip makes one Move per move, so __new__ starts with a fast path: plain
+int indices, i2 and j2 present or None as the kind needs, and the kind
+tested together with its index chain (kind == SQUARE and
+i < i2 <= j < j2). Only a move that fails that test, or has int-subclass
+indices such as an IntEnum, takes the full checks (kind, then index
+types, then index ranges), which name the first bad field.
 
 certificate_to_json writes the certificate text from one %d template
 per move kind, without building dicts; the text is byte-equal to
@@ -61,7 +65,9 @@ _REQUIRED_SIGNS = {
 
 _FIELDS = frozenset(("kind", "i", "i2", "j", "j2"))
 
-_INDEX = (int, type(None))  # exact types of an index on the fast path
+_INDEX = (int, type(None))  # exact types of an index that needs no type check
+
+_new = tuple.__new__  # one global lookup on Move's fast path
 
 
 class Move(tuple):
@@ -70,6 +76,25 @@ class Move(tuple):
     __slots__ = ()
 
     def __new__(cls, kind: str, i: int, j: int, i2=None, j2=None):
+        # fast path: plain int indices in range for a known kind; the kind
+        # and its index chain are tested together
+        if type(i) is int and type(j) is int and 0 < i:
+            if i2 is None:
+                if j2 is None:
+                    ok = kind == POINT and i <= j
+                else:
+                    ok = type(j2) is int and kind == HORIZONTAL and i <= j < j2
+            elif j2 is None:
+                ok = type(i2) is int and kind == VERTICAL and i < i2 <= j
+            else:
+                ok = type(i2) is type(j2) is int and kind == SQUARE and i < i2 <= j < j2
+            if ok:
+                return _new(cls, (kind, i, j, i2, j2))
+        return cls._validated(kind, i, j, i2, j2)
+
+    @classmethod
+    def _validated(cls, kind, i, j, i2, j2) -> "Move":
+        """The full checks: name the first bad field, or accept int subclasses."""
         if not (type(i) is type(j) is int and type(i2) in _INDEX and type(j2) in _INDEX):
             # name the first bad field; bools and numpy integers are not indices
             if kind not in _KINDS:
@@ -211,9 +236,10 @@ class Certificate:
                 f"certificate moves must be iterable, got {type(self.moves).__name__}"
             ) from None
         object.__setattr__(self, "moves", tuple(moves))
-        for m in self.moves:
-            if not isinstance(m, Move):
-                raise DomainError(f"certificate moves must be Move, got {m!r}")
+        if not {*map(type, self.moves)} <= {Move}:  # a subclass takes the loop
+            for m in self.moves:
+                if not isinstance(m, Move):
+                    raise DomainError(f"certificate moves must be Move, got {m!r}")
 
     @property
     def n(self) -> int:
@@ -249,6 +275,13 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_obj(obj) -> Certificate:
+    """Certificate from a decoded JSON object, validating every field.
+
+    Each move dict is passed to Move as keyword arguments. If that raises
+    TypeError (a missing, unknown or 'cls' key), or a move is not a plain
+    dict, the moves are read again with Move.from_obj, which names the
+    first bad move.
+    """
     if not isinstance(obj, dict):
         raise DomainError(f"certificate must be an object, got {type(obj).__name__}")
     if "eps" not in obj or "moves" not in obj:
@@ -267,7 +300,17 @@ def certificate_from_obj(obj) -> Certificate:
         raise DomainError(
             f"certificate field 'moves' must be a list, got {type(raw_moves).__name__}"
         )
-    return Certificate(eps, tuple(Move.from_obj(m) for m in raw_moves))
+    # the JSON keys are Move's keyword names; ** would also take a mapping
+    # that is not a dict, which from_obj rejects
+    moves = None
+    if {*map(type, raw_moves)} <= {dict}:
+        try:
+            moves = [Move(**m) for m in raw_moves]
+        except TypeError:  # a missing, unknown or 'cls' key
+            pass
+    if moves is None:
+        moves = [Move.from_obj(m) for m in raw_moves]
+    return Certificate(eps, moves)
 
 
 def certificate_from_json(text: str) -> Certificate:

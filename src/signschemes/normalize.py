@@ -57,7 +57,6 @@ from .schemes import (
     PLUS,
     as_sign_vector,
     generate_scheme,
-    reference_sign,
     sign_char,
 )
 
@@ -92,8 +91,8 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
     # ends[i]: indices into moves of the Point(i;j) and Vertical(.,i;j)
     # moves, in creation order, so the top has the largest j
     ends: list[list[int]] = [[] for _ in range(n + 1)]
-    # reference_sign(i, k) depends only on k - i
-    alt = [reference_sign(1, j) for j in range(1, n + 1)]
+    # reference_sign(i, k) depends only on k - i: alt[d] = reference_sign(i, i + d)
+    alt = [MINUS, PLUS] * (n // 2) + [MINUS] * (n & 1)
     # C[i,k] = pre[i-1] * pre[k]; acc[i] = pre[0] + ... + pre[i-1];
     # rows[c]: the rows i with (pre[i-1] == 1) ^ (i odd) == c, ascending
     pre, acc, rows = [1], [0], ([], [])
@@ -333,8 +332,9 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
                 f"found '{sign_char(found)}'"
             )
 
-    # row i of the target is a prefix of row 1; scan only rows that differ
-    top = [reference_sign(1, j) for j in range(1, n + 1)]
+    # row i of the target is a prefix of row 1, which alternates from '-';
+    # scan only rows that differ
+    top = [MINUS, PLUS] * (n // 2) + [MINUS] * (n & 1)
     residual = tuple(
         (i, j)
         for i, row in enumerate(grid, 1)

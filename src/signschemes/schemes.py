@@ -49,6 +49,9 @@ def as_sign_vector(values) -> tuple[int, ...]:
         raise DomainError(f"sign vector must be a sequence, got {values!r}") from None
     if not eps:
         raise DimensionError("sign vector must be non-empty")
+    # types first: the set test hashes the entries, and a list is unhashable
+    if {*map(type, eps)} == {int} and _SIGN_SET.issuperset(eps):
+        return eps
     plain = True
     for v in eps:
         if type(v) is int and v in (PLUS, MINUS):
@@ -139,7 +142,15 @@ class Scheme:
         for i, j in positions:
             self.check_position(i, j)
             rows[i - 1][j - i] = -rows[i - 1][j - i]
-        return Scheme(tuple(tuple(row) for row in rows))
+        # a negated sign is a sign, so only the positions need checking
+        return Scheme._trusted(tuple(map(tuple, rows)))
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Scheme":
+        """A Scheme of rows known to be valid, without __post_init__'s scan."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        return self
 
     def render(self) -> str:
         """ASCII triangle, one row per line, indented to align columns."""
@@ -167,7 +178,7 @@ def generate_scheme(eps) -> Scheme:
             prod *= eps[j - 1]
             row.append(prod)
         rows.append(tuple(row))
-    return Scheme(tuple(rows))
+    return Scheme._trusted(tuple(rows))  # products of plain +1/-1 ints
 
 
 def reference_sign(i: int, j: int) -> int:

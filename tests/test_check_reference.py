@@ -16,10 +16,12 @@ missing i2/j2, a TriangleIndexError). Both parsers now report a null
 'i' or 'j' as a missing field.
 """
 
+import collections
 import copy
 import json
 import pickle
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from signschemes import (
     as_sign_vector,
     build_certificate,
     certificate_from_json,
+    certificate_from_obj,
     certificate_to_json,
     check_certificate,
     generate_scheme,
@@ -487,6 +490,97 @@ def mutated_certificates(draw):
 def test_mutated_certificates_match_reference(case):
     text, check_vectors = case
     _assert_same(text, check_vectors)
+
+
+_P11 = {"kind": "P", "i": 1, "j": 1}
+
+
+def _parse_case(name, moves, outcome):
+    return pytest.param({"eps": [1, 1], "moves": moves}, outcome, id=name)
+
+
+# certificate_from_obj passes each move dict to Move as keyword arguments
+# and, on a TypeError or a move that is not a plain dict, parses the moves
+# again field by field; either way the first bad move names the error
+_PARSE_CASES = (
+    _parse_case("non-dict", [5], (DomainError, "move must be an object, got int")),
+    _parse_case(
+        "unknown-field",
+        [dict(_P11, extra=0)],
+        (DomainError, "unknown move fields: ['extra']"),
+    ),
+    _parse_case(
+        "cls-field", [dict(_P11, cls=0)], (DomainError, "unknown move fields: ['cls']")
+    ),
+    _parse_case(
+        "missing-kind", [{"i": 1, "j": 1}], (DomainError, "unknown move kind None")
+    ),
+    _parse_case(
+        "missing-i",
+        [{"kind": "P", "j": 1}],
+        (DomainError, "move needs fields 'i' and 'j'"),
+    ),
+    _parse_case(
+        "bool-index",
+        [dict(_P11, i=True)],
+        (DomainError, "move field 'i' must be an integer"),
+    ),
+    _parse_case("null-i2-on-point", [dict(_P11, i2=None)], "ok"),
+    _parse_case(
+        "bad-kind-before-non-dict",
+        [dict(_P11, kind="X"), 5],
+        (DomainError, "unknown move kind 'X'"),
+    ),
+    _parse_case(
+        "non-dict-after-valid",
+        [_P11, 5],
+        (DomainError, "move must be an object, got int"),
+    ),
+    _parse_case(
+        "bad-range-before-missing-j",
+        [dict(_P11, i=2), {"kind": "P", "i": 1}],
+        (TriangleIndexError, "invalid indices for Point(2;1)"),
+    ),
+    _parse_case(
+        "missing-j-before-bad-range",
+        [{"kind": "P", "i": 1}, dict(_P11, i=2)],
+        (DomainError, "move needs fields 'i' and 'j'"),
+    ),
+)
+
+
+@pytest.mark.parametrize("obj, outcome", _PARSE_CASES)
+def test_parse_fallback_matches_reference(obj, outcome):
+    new = _outcome(certificate_from_obj, obj)
+    assert new == _outcome(_reference_certificate_from_obj, obj)
+    assert new == _outcome(certificate_from_json, json.dumps(obj))
+    assert (new[0] if new[0] == "ok" else new) == outcome
+
+
+def test_parse_takes_plain_dicts_only():
+    # ** would accept any mapping; a move must still be a dict, and a dict
+    # subclass is still one
+    proxy = types.MappingProxyType(_P11)
+    obj = {"eps": [1], "moves": [_P11, proxy]}
+    new = _outcome(certificate_from_obj, obj)
+    assert new == (DomainError, "move must be an object, got mappingproxy")
+    assert new == _outcome(_reference_certificate_from_obj, obj)
+    obj = {"eps": [1], "moves": [_P11, collections.OrderedDict(_P11)]}
+    assert certificate_from_obj(obj) == _reference_certificate_from_obj(obj)
+
+
+def test_target_rows_match_reference_sign_up_to_forty():
+    # the builder and the checker each write the target's first row as an
+    # alternating list; _reference_check calls reference_sign per cell
+    rng = random.Random(40)
+    for n in range(1, 41):
+        rand = tuple(rng.choice((PLUS, MINUS)) for _ in range(n))
+        for eps in ((MINUS,) * n, (PLUS,) * n, rand):
+            empty = Certificate(eps, ())
+            assert check_certificate(eps, empty) == _reference_check(eps, empty)
+            cert = build_certificate(eps)
+            report = check_certificate(eps, cert)
+            assert report.accepted and report == _reference_check(eps, cert)
 
 
 def test_move_is_immutable():

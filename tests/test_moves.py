@@ -1,6 +1,7 @@
 """Move validation, application, and certificate serialization."""
 
 import enum
+import itertools
 import json
 import random
 
@@ -29,6 +30,7 @@ from signschemes import (
     generate_scheme,
     pattern_mismatch,
 )
+from signschemes.moves import _INDEX, _KINDS, HORIZONTAL, POINT, SQUARE, VERTICAL
 
 TEST_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -100,6 +102,59 @@ def test_unknown_kind_rejected():
 def test_constructor_rejects_bad_fields(build, message):
     with pytest.raises(DomainError, match=message):
         build()
+
+
+def _reference_move(kind, i, j, i2=None, j2=None):
+    """Move.__new__ before its fast path: every check, in order, every time."""
+    if not (type(i) is type(j) is int and type(i2) in _INDEX and type(j2) in _INDEX):
+        # name the first bad field; bools and numpy integers are not indices
+        if kind not in _KINDS:
+            raise DomainError(f"unknown move kind {kind!r}")
+        for key, v in (("i", i), ("j", j), ("i2", i2), ("j2", j2)):
+            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+                raise DomainError(f"move field {key!r} must be an integer")
+        if i is None or j is None:
+            raise DomainError("move needs fields 'i' and 'j'")
+    if kind == POINT:
+        ok = i2 is None and j2 is None and 1 <= i <= j
+    elif kind == HORIZONTAL:
+        ok = i2 is None and j2 is not None and 1 <= i <= j < j2
+    elif kind == VERTICAL:
+        ok = j2 is None and i2 is not None and 1 <= i < i2 <= j
+    elif kind == SQUARE:
+        ok = i2 is not None and j2 is not None and 1 <= i < i2 <= j < j2
+    else:
+        raise DomainError(f"unknown move kind {kind!r}")
+    self = tuple.__new__(Move, (kind, i, j, i2, j2))
+    if not ok:
+        raise TriangleIndexError(f"invalid indices for {self!s}")
+    return self
+
+
+def _made(fn, *args):
+    """(Move, repr), or (exception type, message)."""
+    try:
+        move = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return move, repr(move)
+
+
+def test_constructor_matches_reference_on_every_field_combination():
+    # the fast path must accept exactly what the full checks accept, and
+    # leave every rejection to them
+    kinds = (POINT, HORIZONTAL, VERTICAL, SQUARE, "X", None)
+    values = (None, 0, 1, 2, 3, 5, True, 2.0, "1", _Index.TWO, np.int64(2))
+    accepted = 0
+    for kind in kinds:
+        for i, j, i2, j2 in itertools.product(values, repeat=4):
+            args = (kind, i, j, i2, j2)
+            made = _made(Move, *args)
+            assert made == _made(_reference_move, *args), args
+            accepted += type(made[0]) is Move
+    # 16 Points, 20 Horizontals, 18 Verticals and 13 Squares, counting
+    # those with an IntEnum index
+    assert accepted == 67
 
 
 def test_touched_positions_and_required_signs():
@@ -262,9 +317,21 @@ def test_certificate_obj_errors():
             certificate_from_json(text)
 
 
+class _SubMove(Move):
+    __slots__ = ()
+
+
 def test_certificate_requires_moves():
     with pytest.raises(DomainError):
         Certificate((1,), ("not a move",))
+    p11 = Move.point(1, 1)
+    with pytest.raises(DomainError, match=r"^certificate moves must be Move, got 'x'$"):
+        Certificate((1,), [p11, "x", tuple(p11)])
+    with pytest.raises(DomainError, match=r"got \('P', 1, 1, None, None\)$"):
+        Certificate((1,), [p11, tuple(p11)])
+    # a subclass of Move is a Move
+    sub = _SubMove("P", 1, 1)
+    assert Certificate((1,), [sub, p11]).moves == (sub, p11)
     for moves in (None, 5, Move.point):
         with pytest.raises(DomainError, match="moves must be iterable"):
             Certificate((1,), moves)

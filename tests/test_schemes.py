@@ -100,6 +100,39 @@ def test_as_sign_vector_freezes():
     assert all(type(v) is int for v in frozen)
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([True, -1], "got True"),
+        ([1.0, -1], "got 1.0"),
+        ([[1]], "got [1]"),
+        ([0], "got 0"),
+        ([2], "got 2"),
+        ([1, -1, np.int64(2)], "got np.int64(2)"),
+    ],
+)
+def test_as_sign_vector_rejects_entries(values, message):
+    # a list entry must fail the type test before a set test hashes it
+    with pytest.raises(DomainError) as exc:
+        as_sign_vector(values)
+    assert str(exc.value) == f"sign vector entries must be +1 or -1, {message}"
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([np.int64(1), -1], (1, -1)),
+        (np.array([1, -1]), (1, -1)),
+        ([-1, 1], (-1, 1)),
+        (iter([1, -1, -1]), (1, -1, -1)),
+    ],
+)
+def test_as_sign_vector_returns_plain_ints(values, expected):
+    frozen = as_sign_vector(values)
+    assert frozen == expected
+    assert type(frozen) is tuple and all(type(v) is int for v in frozen)
+
+
 def test_scheme_shape_validation():
     with pytest.raises(DimensionError):
         Scheme(((1,), (1,)))
@@ -131,6 +164,52 @@ def test_with_flipped_returns_new_scheme():
     assert flipped.sign(1, 1) == -scheme.sign(1, 1)
     assert flipped.sign(2, 3) == -scheme.sign(2, 3)
     assert scheme.rows == FIVE_ROWS
+
+
+def test_with_flipped_equals_a_validated_scheme():
+    scheme = generate_scheme(FIVE)
+    moves = (((1, 1),), ((2, 3), (2, 5), (5, 5)), ((1, 1), (1, 1)), ())
+    for positions in moves:
+        flipped = scheme.with_flipped(positions)
+        assert flipped == Scheme(flipped.rows)
+        rows = [list(row) for row in FIVE_ROWS]
+        for i, j in positions:
+            rows[i - 1][j - i] *= -1
+        assert flipped == Scheme(tuple(map(tuple, rows)))
+        assert all(type(row) is tuple for row in flipped.rows)
+        assert all(type(v) is int for row in flipped.rows for v in row)
+    # numpy indices are positions; the entries stay plain ints
+    flipped = scheme.with_flipped(((np.int64(2), np.int64(4)),))
+    assert flipped == Scheme(flipped.rows) and flipped.sign(2, 4) == PLUS
+    assert all(type(v) is int for row in flipped.rows for v in row)
+
+
+def test_generate_scheme_equals_a_validated_scheme():
+    for eps in (FIVE, np.array(FIVE), [np.int64(v) for v in FIVE], (MINUS,)):
+        scheme = generate_scheme(eps)
+        assert scheme == Scheme(scheme.rows)
+        assert all(type(v) is int for row in scheme.rows for v in row)
+    assert generate_scheme(FIVE).rows == FIVE_ROWS
+
+
+@pytest.mark.parametrize(
+    "positions, error, message",
+    [
+        (((0, 1),), TriangleIndexError, "position (0, 1) outside triangle of size 5"),
+        (
+            ((1, 1), (3, 2)),
+            TriangleIndexError,
+            "position (3, 2) outside triangle of size 5",
+        ),
+        (((1, 6),), TriangleIndexError, "position (1, 6) outside triangle of size 5"),
+        (((1.5, 2),), DomainError, "position indices must be integers: (1.5, 2)"),
+        (((1, "2"),), DomainError, "position indices must be integers: (1, '2')"),
+    ],
+)
+def test_with_flipped_checks_every_position(positions, error, message):
+    with pytest.raises(error) as exc:
+        generate_scheme(FIVE).with_flipped(positions)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_render_golden():
