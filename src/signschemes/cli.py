@@ -117,7 +117,7 @@ def _cmd_check(args) -> int:
         return 2
     try:
         cert = certificate_from_json(text)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, TriangleIndexError, RecursionError) as exc:
         print(f"error: certificate parse error: {exc}", file=sys.stderr)
         return 2
     report = check_certificate(eps, cert)

@@ -19,13 +19,13 @@ Applying a move flips exactly the listed positions.
 
 A Move is an immutable (kind, i, j, i2, j2) tuple, validated once in
 __new__, with read-only properties for its fields. Moves equal and hash
-by value, and a Move never equals a plain tuple. A certificate round
-trip makes one Move per move, so __new__ starts with a fast path: plain
-int indices, i2 and j2 present or None as the kind needs, and the kind
-tested together with its index chain (kind == SQUARE and
-i < i2 <= j < j2). Only a move that fails that test, or has int-subclass
-indices such as an IntEnum, takes the full checks (kind, then index
-types, then index ranges), which name the first bad field.
+by value, and a Move never equals a plain tuple. A move flips its rows
+x its columns; one table, _LAYOUT, gives each kind's name, the tuple
+slots of its rows and of its columns, and its pattern's signs, and the
+methods and the JSON templates read it. __new__ has one body: indices
+that are not all plain ints (i2/j2 may be None) go through _check_fields,
+which names the first bad field or passes an int subclass such as an
+IntEnum; then one chain tests the kind and its index order together.
 
 certificate_to_json writes the certificate text from one %d template
 per move kind, without building dicts; the text is byte-equal to
@@ -47,27 +47,34 @@ HORIZONTAL = "H"
 VERTICAL = "V"
 SQUARE = "S"
 
-_KINDS = (POINT, HORIZONTAL, VERTICAL, SQUARE)
+_FIELD_NAMES = ("kind", "i", "j", "i2", "j2")  # a Move tuple, slot by slot
 
-_KIND_NAMES = {
-    POINT: "Point",
-    HORIZONTAL: "Horizontal",
-    VERTICAL: "Vertical",
-    SQUARE: "Square",
+# Per kind: its name, the tuple slots of its rows and of its columns, and
+# the signs its pattern needs at rows x columns, row by row.
+_LAYOUT = {
+    POINT: ("Point", (1,), (2,), (PLUS,)),
+    HORIZONTAL: ("Horizontal", (1,), (2, 4), (PLUS, MINUS)),
+    VERTICAL: ("Vertical", (1, 3), (2,), (MINUS, PLUS)),
+    SQUARE: ("Square", (1, 3), (2, 4), (MINUS, PLUS, PLUS, MINUS)),
 }
 
-_REQUIRED_SIGNS = {
-    POINT: (PLUS,),
-    HORIZONTAL: (PLUS, MINUS),
-    VERTICAL: (MINUS, PLUS),
-    SQUARE: (MINUS, PLUS, PLUS, MINUS),
-}
+_KINDS = tuple(_LAYOUT)
 
-_FIELDS = frozenset(("kind", "i", "i2", "j", "j2"))
+_FIELDS = frozenset(_FIELD_NAMES)
 
-_INDEX = (int, type(None))  # exact types of an index that needs no type check
+_new = tuple.__new__  # one global lookup per Move
 
-_new = tuple.__new__  # one global lookup on Move's fast path
+
+def _check_fields(kind, i, j, i2, j2) -> None:
+    """Name the first bad field; an int subclass such as an IntEnum passes."""
+    if kind not in _KINDS:
+        raise DomainError(f"unknown move kind {kind!r}")
+    for key, v in (("i", i), ("j", j), ("i2", i2), ("j2", j2)):
+        # bools and numpy integers are not indices
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+            raise DomainError(f"move field {key!r} must be an integer")
+    if i is None or j is None:
+        raise DomainError("move needs fields 'i' and 'j'")
 
 
 class Move(tuple):
@@ -76,48 +83,22 @@ class Move(tuple):
     __slots__ = ()
 
     def __new__(cls, kind: str, i: int, j: int, i2=None, j2=None):
-        # fast path: plain int indices in range for a known kind; the kind
-        # and its index chain are tested together
-        if type(i) is int and type(j) is int and 0 < i:
-            if i2 is None:
-                if j2 is None:
-                    ok = kind == POINT and i <= j
-                else:
-                    ok = type(j2) is int and kind == HORIZONTAL and i <= j < j2
-            elif j2 is None:
-                ok = type(i2) is int and kind == VERTICAL and i < i2 <= j
-            else:
-                ok = type(i2) is type(j2) is int and kind == SQUARE and i < i2 <= j < j2
-            if ok:
-                return _new(cls, (kind, i, j, i2, j2))
-        return cls._validated(kind, i, j, i2, j2)
-
-    @classmethod
-    def _validated(cls, kind, i, j, i2, j2) -> "Move":
-        """The full checks: name the first bad field, or accept int subclasses."""
-        if not (type(i) is type(j) is int and type(i2) in _INDEX and type(j2) in _INDEX):
-            # name the first bad field; bools and numpy integers are not indices
-            if kind not in _KINDS:
-                raise DomainError(f"unknown move kind {kind!r}")
-            for key, v in (("i", i), ("j", j), ("i2", i2), ("j2", j2)):
-                if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
-                    raise DomainError(f"move field {key!r} must be an integer")
-            if i is None or j is None:
-                raise DomainError("move needs fields 'i' and 'j'")
-        if kind == POINT:
-            ok = i2 is None and j2 is None and 1 <= i <= j
-        elif kind == HORIZONTAL:
-            ok = i2 is None and j2 is not None and 1 <= i <= j < j2
-        elif kind == VERTICAL:
-            ok = j2 is None and i2 is not None and 1 <= i < i2 <= j
-        elif kind == SQUARE:
-            ok = i2 is not None and j2 is not None and 1 <= i < i2 <= j < j2
+        if not (
+            type(i) is type(j) is int
+            and (i2 is None or type(i2) is int)
+            and (j2 is None or type(j2) is int)
+        ):
+            _check_fields(kind, i, j, i2, j2)
+        # the kind is tested together with its index chain
+        if i2 is None:
+            ok = kind == (POINT if j2 is None else HORIZONTAL) and 0 < i <= j
         else:
-            raise DomainError(f"unknown move kind {kind!r}")
-        self = tuple.__new__(cls, (kind, i, j, i2, j2))
-        if not ok:
-            raise TriangleIndexError(f"invalid indices for {self!s}")
-        return self
+            ok = kind == (VERTICAL if j2 is None else SQUARE) and 0 < i < i2 <= j
+        if ok and (j2 is None or j < j2):
+            return _new(cls, (kind, i, j, i2, j2))
+        _check_fields(kind, i, j, i2, j2)  # an unknown kind is a DomainError
+        bad = _new(cls, (kind, i, j, i2, j2))
+        raise TriangleIndexError(f"invalid indices for {bad!s}")
 
     kind, i, j, i2, j2 = (property(itemgetter(k)) for k in range(5))
 
@@ -153,41 +134,23 @@ class Move(tuple):
         return cls(SQUARE, i, j, i2, j2)
 
     def touched_positions(self) -> tuple[tuple[int, int], ...]:
-        """The positions this move flips, in pattern order."""
-        kind, i, j, i2, j2 = self
-        if kind == POINT:
-            return ((i, j),)
-        if kind == HORIZONTAL:
-            return ((i, j), (i, j2))
-        if kind == VERTICAL:
-            return ((i, j), (i2, j))
-        return ((i, j), (i, j2), (i2, j), (i2, j2))
+        """The positions this move flips, rows x columns in pattern order."""
+        _, rows, cols, _ = _LAYOUT[self[0]]
+        return tuple([(self[r], self[c]) for r in rows for c in cols])
 
     def required_signs(self) -> tuple[int, ...]:
         """Signs the scheme must show at touched_positions() for this move."""
-        return _REQUIRED_SIGNS[self[0]]
+        return _LAYOUT[self[0]][3]
 
     def __str__(self) -> str:
-        kind, i, j, i2, j2 = self
-        name = _KIND_NAMES[kind]
-        if kind == POINT:
-            return f"{name}({i};{j})"
-        if kind == HORIZONTAL:
-            return f"{name}({i};{j},{j2})"
-        if kind == VERTICAL:
-            return f"{name}({i},{i2};{j})"
-        return f"{name}({i},{i2};{j},{j2})"
+        name, rows, cols, _ = _LAYOUT[self[0]]
+        rows, cols = (",".join([f"{self[s]}" for s in ax]) for ax in (rows, cols))
+        return f"{name}({rows};{cols})"
 
     def to_obj(self) -> dict:
         """Plain dict for JSON serialization; unused indices are omitted."""
-        kind, i, j, i2, j2 = self
-        obj = {"kind": kind, "i": i}
-        if i2 is not None:
-            obj["i2"] = i2
-        obj["j"] = j
-        if j2 is not None:
-            obj["j2"] = j2
-        return obj
+        _, rows, cols, _ = _LAYOUT[self[0]]
+        return {"kind": self[0], **{_FIELD_NAMES[s]: self[s] for s in rows + cols}}
 
     @classmethod
     def from_obj(cls, obj) -> "Move":
@@ -254,13 +217,17 @@ def certificate_to_obj(cert: Certificate) -> dict:
     }
 
 
-# Per kind, the JSON text of one move and its index fields in key order.
-# %d prints an int subclass as int.__repr__ does, as json.dumps does.
+# Per kind, the JSON text of one move and its index fields in key order,
+# rows then columns as in Move.to_obj. %d prints an int subclass as
+# int.__repr__ does, as json.dumps does.
 _MOVE_JSON = {
-    POINT: ('{"kind":"P","i":%d,"j":%d}', itemgetter(1, 2)),
-    HORIZONTAL: ('{"kind":"H","i":%d,"j":%d,"j2":%d}', itemgetter(1, 2, 4)),
-    VERTICAL: ('{"kind":"V","i":%d,"i2":%d,"j":%d}', itemgetter(1, 3, 2)),
-    SQUARE: ('{"kind":"S","i":%d,"i2":%d,"j":%d,"j2":%d}', itemgetter(1, 3, 2, 4)),
+    kind: (
+        '{"kind":"%s"' % kind
+        + "".join(',"%s":%%d' % _FIELD_NAMES[s] for s in rows + cols)
+        + "}",
+        itemgetter(*rows, *cols),
+    )
+    for kind, (_, rows, cols, _) in _LAYOUT.items()
 }
 
 

@@ -556,19 +556,19 @@ class MonotonicityReport:
 def _move_violations(moves, schemes, Z, eps, samples_per_move: int) -> list[str]:
     """Check a run of moves on their z-samples, samples_per_move rows each.
 
-    schemes[k] and schemes[k + 1] are the schemes before and after
-    moves[k], and move k's samples are rows k*samples_per_move onward of Z.
+    schemes[k + 1] is moves[k] applied to schemes[k], so schemes[k] shows
+    the move's pattern; move k's samples start at row k*samples_per_move.
     """
     f_before = eval_f_batch(schemes[:-1], Z)
     f_after = eval_f_batch(schemes[1:], Z)
     violations = []
     for k, move in enumerate(moves):
         rows = slice(k * samples_per_move, (k + 1) * samples_per_move)
-        Zk, scheme = Z[rows], schemes[k]
+        Zk = Z[rows]
         local = np.ones(samples_per_move)
-        for (i, j) in move.touched_positions():
+        for (i, j), sign in zip(move.touched_positions(), move.required_signs()):
             prods = np.prod(Zk[:, i - 1 : j], axis=1)
-            local = local * (1 - scheme.sign(i, j) * prods)
+            local = local * (1 - sign * prods)
         worst_local = float(np.max(local)) if samples_per_move else 0.0
         if not worst_local <= 1 + FACTOR_TOL:
             violations.append(

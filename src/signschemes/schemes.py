@@ -197,8 +197,9 @@ def wrong_set(scheme: Scheme) -> frozenset[tuple[int, int]]:
     """Positions whose sign differs from the target scheme."""
     return frozenset(
         (i, j)
-        for i, j in scheme.positions()
-        if scheme.sign(i, j) != reference_sign(i, j)
+        for i, row in enumerate(scheme.rows, 1)
+        for j, sign in enumerate(row, i)
+        if sign != reference_sign(i, j)
     )
 
 

@@ -166,6 +166,16 @@ class TestCheck:
         assert code == 2
         assert "certificate parse error" in err
 
+    def test_bad_move_indices_are_a_parse_error(self, capsys, tmp_path):
+        # a TriangleIndexError is an IndexError, not a ValueError
+        path = tmp_path / "bad_indices.json"
+        path.write_text(
+            '{"eps":[1,1],"moves":[{"kind":"P","i":2,"j":1}]}', encoding="utf-8"
+        )
+        code, out, err = run(capsys, "check", "+,+", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: certificate parse error: invalid indices for Point(2;1)\n"
+
     def test_deeply_nested_certificate(self, capsys, tmp_path):
         # the JSON decoder recurses once per '[' and runs out of stack
         path = tmp_path / "deep.json"

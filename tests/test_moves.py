@@ -3,6 +3,7 @@
 import enum
 import itertools
 import json
+import operator
 import random
 
 import numpy as np
@@ -30,7 +31,7 @@ from signschemes import (
     generate_scheme,
     pattern_mismatch,
 )
-from signschemes.moves import _INDEX, _KINDS, HORIZONTAL, POINT, SQUARE, VERTICAL
+from signschemes.moves import _KINDS, _MOVE_JSON, HORIZONTAL, POINT, SQUARE, VERTICAL
 
 TEST_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -104,6 +105,9 @@ def test_constructor_rejects_bad_fields(build, message):
         build()
 
 
+_INDEX = (int, type(None))  # exact types of an index that needs no type check
+
+
 def _reference_move(kind, i, j, i2=None, j2=None):
     """Move.__new__ before its fast path: every check, in order, every time."""
     if not (type(i) is type(j) is int and type(i2) in _INDEX and type(j2) in _INDEX):
@@ -155,6 +159,118 @@ def test_constructor_matches_reference_on_every_field_combination():
     # 16 Points, 20 Horizontals, 18 Verticals and 13 Squares, counting
     # those with an IntEnum index
     assert accepted == 67
+
+
+# Move's per-kind layout before the layout table, copied as it was
+_REFERENCE_KIND_NAMES = {
+    POINT: "Point",
+    HORIZONTAL: "Horizontal",
+    VERTICAL: "Vertical",
+    SQUARE: "Square",
+}
+
+_REFERENCE_REQUIRED_SIGNS = {
+    POINT: (PLUS,),
+    HORIZONTAL: (PLUS, MINUS),
+    VERTICAL: (MINUS, PLUS),
+    SQUARE: (MINUS, PLUS, PLUS, MINUS),
+}
+
+_REFERENCE_MOVE_JSON = {
+    POINT: ('{"kind":"P","i":%d,"j":%d}', operator.itemgetter(1, 2)),
+    HORIZONTAL: ('{"kind":"H","i":%d,"j":%d,"j2":%d}', operator.itemgetter(1, 2, 4)),
+    VERTICAL: ('{"kind":"V","i":%d,"i2":%d,"j":%d}', operator.itemgetter(1, 3, 2)),
+    SQUARE: (
+        '{"kind":"S","i":%d,"i2":%d,"j":%d,"j2":%d}',
+        operator.itemgetter(1, 3, 2, 4),
+    ),
+}
+
+
+def _reference_touched_positions(self):
+    kind, i, j, i2, j2 = self
+    if kind == POINT:
+        return ((i, j),)
+    if kind == HORIZONTAL:
+        return ((i, j), (i, j2))
+    if kind == VERTICAL:
+        return ((i, j), (i2, j))
+    return ((i, j), (i, j2), (i2, j), (i2, j2))
+
+
+def _reference_str(self):
+    kind, i, j, i2, j2 = self
+    name = _REFERENCE_KIND_NAMES[kind]
+    if kind == POINT:
+        return f"{name}({i};{j})"
+    if kind == HORIZONTAL:
+        return f"{name}({i};{j},{j2})"
+    if kind == VERTICAL:
+        return f"{name}({i},{i2};{j})"
+    return f"{name}({i},{i2};{j},{j2})"
+
+
+def _reference_to_obj(self):
+    kind, i, j, i2, j2 = self
+    obj = {"kind": kind, "i": i}
+    if i2 is not None:
+        obj["i2"] = i2
+    obj["j"] = j
+    if j2 is not None:
+        obj["j2"] = j2
+    return obj
+
+
+def _valid_move_args(n):
+    """(kind, i, j, i2, j2) of every valid move with indices <= n."""
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            yield POINT, i, j, None, None
+            for j2 in range(j + 1, n + 1):
+                yield HORIZONTAL, i, j, None, j2
+            for i2 in range(i + 1, j + 1):
+                yield VERTICAL, i, j, i2, None
+                for j2 in range(j + 1, n + 1):
+                    yield SQUARE, i, j, i2, j2
+
+
+_SEVEN = enum.IntEnum("_Seven", [(f"I{k}", k) for k in range(1, 8)])
+
+
+def _layout(move):
+    """Everything a move's layout decides, as comparable values."""
+    template, fields = _MOVE_JSON[move[0]]
+    return (
+        move.touched_positions(),
+        move.required_signs(),
+        str(move),
+        list(move.to_obj().items()),
+        template % fields(move),
+    )
+
+
+def _reference_layout(move):
+    template, fields = _REFERENCE_MOVE_JSON[move[0]]
+    return (
+        _reference_touched_positions(move),
+        _REFERENCE_REQUIRED_SIGNS[move[0]],
+        _reference_str(move),
+        list(_reference_to_obj(move).items()),
+        template % fields(move),
+    )
+
+
+def test_layout_matches_reference():
+    # the layout table must give what the per-kind code gave, in the same
+    # order and with the same JSON key order, for plain and IntEnum indices
+    moves = []
+    for kind, *indices in _valid_move_args(7):
+        moves.append(Move(kind, *indices))
+        moves.append(Move(kind, *(v if v is None else _SEVEN(v) for v in indices)))
+    for move in moves:
+        assert _layout(move) == _reference_layout(move), move
+    # 28 Points, 56 Horizontals, 56 Verticals and 70 Squares, twice
+    assert len(moves) == 420
 
 
 def test_touched_positions_and_required_signs():
