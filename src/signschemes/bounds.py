@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Real
+from numbers import Integral
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_positive
 
 # Exact values of g_d^d for the ranks where the Hermite constant is known
 # (standard lattice-theory data, not derived here).
@@ -35,7 +35,7 @@ HERMITE_POWERS = {
     8: Fraction(256),
 }
 
-HERMITE_MAX_RANK = 8
+HERMITE_MAX_RANK = max(HERMITE_POWERS)
 
 
 def hermite_constant(d: int) -> float:
@@ -60,36 +60,31 @@ class BoundResult:
     comparison_additive: float
 
 
-def _check_positive(name: str, value) -> None:
-    if not (isinstance(value, Real) and 0 < value < math.inf):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
 def discriminant_bound(n: int, regulator: float, gamma: float | None = None) -> BoundResult:
     """Upper bound on log|d| for degree n and regulator R.
 
     gamma is the Hermite constant of rank n - 1; omitted, it is taken
     from the built-in table, which covers n - 1 <= 8; beyond that an
-    explicit value (any valid upper bound) is required.
+    explicit value (any valid upper bound) is required. A bound beyond a
+    float's range is a DomainError.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"degree must be an integer, got {n!r}")
+    n = check_count("degree", n)
     if n < 2:
         raise DomainError(f"degree must be at least 2, got {n}")
-    _check_positive("regulator", regulator)
+    check_positive("regulator", regulator)
     from_table = gamma is None
     if from_table:
-        if n - 1 > HERMITE_MAX_RANK:
-            raise DomainError(
-                f"no tabulated Hermite constant for rank {n - 1}; "
-                f"pass gamma explicitly"
-            )
         gamma = hermite_constant(n - 1)
     else:
-        _check_positive("gamma", gamma)
-    main = math.sqrt(gamma * (n**3 - n) / 3) * (math.sqrt(n) * regulator) ** (
-        1.0 / (n - 1)
-    )
+        check_positive("gamma", gamma)
+    try:
+        main = math.sqrt(gamma * (n**3 - n) / 3) * (math.sqrt(n) * regulator) ** (
+            1.0 / (n - 1)
+        )
+    except OverflowError:  # n**3 - n is too large for a float
+        main = math.inf
+    if main == math.inf:
+        raise DomainError("the bound is too large for a float")
     additive = (n // 2) * math.log(4)
     return BoundResult(
         degree=n,

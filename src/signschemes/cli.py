@@ -29,7 +29,12 @@ from .errors import (
     TriangleIndexError,
     check_count,
 )
-from .moves import certificate_from_json, certificate_to_json, certificate_to_obj
+from .moves import (
+    Certificate,
+    certificate_from_json,
+    certificate_to_json,
+    certificate_to_obj,
+)
 from .normalize import (
     build_certificate,
     check_certificate,
@@ -85,8 +90,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_normalize(args) -> int:
     eps = parse_signs(args.signs)
-    cert = build_certificate(eps)
     steps = trace_build(eps) if args.trace else None
+    # a trace's closing level step carries the full certificate
+    cert = build_certificate(eps) if steps is None else Certificate(eps, steps[-1].moves)
     if args.json:
         if steps is not None:
             obj = {

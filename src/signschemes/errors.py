@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the count check."""
+"""Exception types shared across the package, and the count and positive checks."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class DimensionError(ValueError):
@@ -50,3 +51,9 @@ def check_count(name: str, value, least: int = 0) -> int:
         kind = "positive" if least else "nonnegative"
         raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
+
+
+def check_positive(name: str, value) -> None:
+    """DomainError unless value is a real number with 0 < value < inf."""
+    if not (isinstance(value, Real) and 0 < value < math.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")

@@ -165,12 +165,17 @@ class Move(tuple):
 def pattern_mismatch(scheme: Scheme, move: Move):
     """First position where scheme disagrees with the move's pattern, or None.
 
-    Returns (position, required_sign, found_sign).
+    Returns (position, required_sign, found_sign). A move that leaves the
+    triangle raises TriangleIndexError, whatever the signs.
     """
-    for pos, req in zip(move.touched_positions(), move.required_signs()):
-        found = scheme.sign(*pos)
+    # a Move's index order keeps all but its last column inside the triangle
+    _, i, j, _, j2 = move
+    if (j2 or j) > scheme.n:
+        scheme.check_position(i, j if j > scheme.n else j2)
+    for (r, c), req in zip(move.touched_positions(), move.required_signs()):
+        found = scheme.rows[r - 1][c - r]
         if found != req:
-            return pos, req, found
+            return (r, c), req, found
     return None
 
 
@@ -199,10 +204,9 @@ class Certificate:
                 f"certificate moves must be iterable, got {type(self.moves).__name__}"
             ) from None
         object.__setattr__(self, "moves", tuple(moves))
-        if not {*map(type, self.moves)} <= {Move}:  # a subclass takes the loop
-            for m in self.moves:
-                if not isinstance(m, Move):
-                    raise DomainError(f"certificate moves must be Move, got {m!r}")
+        for m in self.moves:
+            if not isinstance(m, Move):
+                raise DomainError(f"certificate moves must be Move, got {m!r}")
 
     @property
     def n(self) -> int:

@@ -32,11 +32,16 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import BoundViolationError, DomainError, ResourceLimitError, check_count
+from .errors import (
+    BoundViolationError,
+    DomainError,
+    ResourceLimitError,
+    check_count,
+    check_positive,
+)
 from .evaluate import (
     FACTOR_INEQUALITIES,
     FACTOR_TOL,
@@ -267,8 +272,7 @@ def grid_max(n: int, step: float) -> MaxReport:
     family are returned as findings, not failures.
     """
     n = check_count("dimension", n, 1)
-    if not (isinstance(step, Real) and 0 < step < math.inf):
-        raise DomainError(f"step must be positive and finite, got {step!r}")
+    check_positive("step", step)
     m = round(1.0 / step)
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1 evenly")

@@ -49,9 +49,6 @@ def as_sign_vector(values) -> tuple[int, ...]:
         raise DomainError(f"sign vector must be a sequence, got {values!r}") from None
     if not eps:
         raise DimensionError("sign vector must be non-empty")
-    # types first: the set test hashes the entries, and a list is unhashable
-    if {*map(type, eps)} == {int} and _SIGN_SET.issuperset(eps):
-        return eps
     plain = True
     for v in eps:
         if type(v) is int and v in (PLUS, MINUS):
@@ -118,9 +115,9 @@ class Scheme:
         return len(self.rows)
 
     def check_position(self, i: int, j: int) -> None:
-        if type(i) is not int or type(j) is not int:  # plain ints skip the slow check
-            if not (isinstance(i, Integral) and isinstance(j, Integral)):
-                raise DomainError(f"position indices must be integers: ({i!r}, {j!r})")
+        # int first: isinstance stops there, before the far slower ABC check
+        if not (isinstance(i, (int, Integral)) and isinstance(j, (int, Integral))):
+            raise DomainError(f"position indices must be integers: ({i!r}, {j!r})")
         if not (1 <= i <= j <= self.n):
             raise TriangleIndexError(
                 f"position ({i}, {j}) outside triangle of size {self.n}"
@@ -181,6 +178,13 @@ def generate_scheme(eps) -> Scheme:
     return Scheme._trusted(tuple(rows))  # products of plain +1/-1 ints
 
 
+def _check_size(name: str, n) -> int:
+    """n as an int; DomainError unless an integer, DimensionError if below 1."""
+    if isinstance(n, Integral) and not isinstance(n, bool) and n < 1:
+        raise DimensionError(f"{name} must be positive, got {n}")
+    return check_count(name, n, 1)
+
+
 def reference_sign(i: int, j: int) -> int:
     """Sign at (i, j) in the target scheme: minus on the diagonal, alternating."""
     return MINUS if (j - i) % 2 == 0 else PLUS
@@ -188,9 +192,7 @@ def reference_sign(i: int, j: int) -> int:
 
 def reference_scheme(n: int) -> Scheme:
     """The target scheme of size n, generated by the all-minus vector."""
-    if isinstance(n, Integral) and n < 1:
-        raise DimensionError(f"scheme size must be positive, got {n}")
-    return generate_scheme((MINUS,) * check_count("scheme size", n, 1))
+    return generate_scheme((MINUS,) * _check_size("scheme size", n))
 
 
 def wrong_set(scheme: Scheme) -> frozenset[tuple[int, int]]:
@@ -209,6 +211,5 @@ def is_reference(scheme: Scheme) -> bool:
 
 def all_sign_vectors(n: int) -> Iterator[tuple[int, ...]]:
     """All 2^n sign vectors of length n, plus-first lexicographic order."""
-    if isinstance(n, Integral) and n < 1:
-        raise DimensionError(f"sign vector length must be positive, got {n}")
-    return itertools.product((PLUS, MINUS), repeat=check_count("dimension", n, 1))
+    n = _check_size("sign vector length", n)
+    return itertools.product((PLUS, MINUS), repeat=n)

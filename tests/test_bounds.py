@@ -99,6 +99,24 @@ def test_input_validation():
     assert discriminant_bound(10, 1.0, 3.0).degree == 10
 
 
+def test_numpy_integer_degree_is_a_degree():
+    assert discriminant_bound(np.int64(3), 1.0) == discriminant_bound(3, 1.0)
+    assert discriminant_bound(np.int64(10), 1.0, 3.0).degree == 10
+
+
+def test_rank_beyond_table_is_refused_by_hermite_constant():
+    with pytest.raises(DomainError, match="tabulated only for ranks 1..8, got 9"):
+        discriminant_bound(10, 1.0)
+
+
+def test_bound_beyond_float_range_is_a_domain_error():
+    # the main term overflowed to inf, or n**3 - n to an OverflowError
+    for args in ((2, 1e308, 1e308), (10**400, 1.0, 2.0)):
+        with pytest.raises(DomainError, match="too large for a float"):
+            discriminant_bound(*args)
+    assert math.isfinite(discriminant_bound(2, 1e150, 1e150).value)
+
+
 def test_monotone_in_regulator_and_gamma():
     rng = np.random.default_rng(8)
     for _ in range(100):

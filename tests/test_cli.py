@@ -95,6 +95,18 @@ class TestNormalize:
         eps = (1, -1, 1, 1, -1, 1, 1)
         assert out == render_trace(eps, trace_build(eps)) + "\n"
 
+    def test_trace_json_runs_the_builder_once(self, capsys, monkeypatch):
+        def no_build(eps):
+            raise AssertionError("the trace already holds the certificate")
+
+        monkeypatch.setattr(cli, "build_certificate", no_build)
+        code, out, _ = run(capsys, "normalize", WORKED, "--trace", "--json")
+        assert code == 0
+        assert json.loads(out)["certificate"] == json.loads(WORKED_JSON)
+        code, out, _ = run(capsys, "normalize", WORKED, "--trace")
+        assert code == 0
+        assert out == render_trace(WORKED_EPS, trace_build(WORKED_EPS)) + "\n"
+
     def test_trace_json_shape(self, capsys):
         code, out, _ = run(capsys, "normalize", WORKED, "--trace", "--json")
         assert code == 0
@@ -386,6 +398,7 @@ class TestBound:
             ("bound", "2", "-1"),
             ("bound", "2", "1", "0"),
             ("bound", "10", "1"),
+            ("bound", "2", "1e308", "1e308"),
         ],
     )
     def test_domain_errors_exit_2(self, capsys, argv):

@@ -19,6 +19,7 @@ from signschemes import (
     DomainError,
     InvalidMoveError,
     Move,
+    Scheme,
     TriangleIndexError,
     all_sign_vectors,
     apply_move,
@@ -335,6 +336,33 @@ def test_pattern_mismatch_reports_first_bad_position():
     scheme = generate_scheme(FIVE)
     pos, req, found = pattern_mismatch(scheme, Move.horizontal(1, 2, 5))
     assert pos == (1, 5) and req == MINUS and found == PLUS
+
+
+def test_out_of_triangle_move_is_an_index_error_whatever_the_signs():
+    # (1, 3) mismatches first, but (1, 4) lies outside the size-3 triangle
+    scheme = generate_scheme((1, 1, 1))
+    for call in (apply_move, pattern_mismatch):
+        with pytest.raises(TriangleIndexError, match=r"\(1, 4\) outside"):
+            call(scheme, Move.square(1, 2, 3, 4))
+    with pytest.raises(TriangleIndexError, match=r"\(1, 4\) outside"):
+        pattern_mismatch(scheme, Move.vertical(1, 2, 4))
+
+
+def test_pattern_mismatch_reads_in_range_moves_without_position_checks(monkeypatch):
+    calls = []
+    check = Scheme.check_position
+
+    def counting_check(self, i, j):
+        calls.append((i, j))
+        check(self, i, j)
+
+    monkeypatch.setattr(Scheme, "check_position", counting_check)
+    scheme = generate_scheme(FIVE)
+    assert pattern_mismatch(scheme, Move.square(3, 4, 4, 5)) is None
+    assert pattern_mismatch(scheme, Move.point(1, 3)) == ((1, 3), PLUS, MINUS)
+    assert calls == []
+    apply_move(scheme, Move.square(3, 4, 4, 5))
+    assert calls == [(3, 4), (3, 5), (4, 4), (4, 5)]  # once each, in the flip
 
 
 def test_double_flip_is_identity():

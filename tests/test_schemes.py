@@ -313,6 +313,15 @@ def test_all_sign_vectors_small():
         all_sign_vectors(0)
 
 
+def test_false_size_is_a_domain_error_like_true():
+    # False was read as the integer 0 and raised DimensionError
+    for size_fn in (all_sign_vectors, reference_scheme):
+        with pytest.raises(DomainError, match="positive integer, got False"):
+            size_fn(False)
+        with pytest.raises(DimensionError, match="must be positive, got -1"):
+            size_fn(-1)
+
+
 def test_sizes_and_positions_must_be_integers():
     # each of these raised a bare TypeError, or was accepted (True as 1)
     for n in (2.5, "3", True, None):
