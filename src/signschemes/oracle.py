@@ -15,6 +15,12 @@ floats, and the float operations are the ones the batch evaluator
 already runs. Per dimension, the schemes of the first and last vector
 are compared with generate_scheme.
 
+The monotonicity sweep replays each certificate, then checks whole
+certificates together in runs of at most _RUN_ROWS z-sample rows: one
+draw and two grouped eval_f_batch calls per run, not per certificate.
+The draws are the same numbers as one draw per move, so the reports do
+not depend on how the moves are grouped.
+
 Every suite refuses, before it starts, a run whose estimated work is
 over its cap (_check_cap, ResourceLimitError): identity squares, grid
 points, the monotonicity dimension, or the floats a sampled suite draws.
@@ -68,8 +74,10 @@ _GRID_POINT_CAP = 40_000_000
 # Floats a sampled suite draws into one array (80 MB): the points of
 # verify_inequalities, one block of z-samples, one batch of verify_bound.
 _FLOAT_CAP = 10_000_000
-# verify_monotonicity sweeps every sign vector, so it stops at this n.
+# verify_monotonicity sweeps every sign vector, so it stops at this n,
+# and checks whole certificates in runs of at most _RUN_ROWS z-samples.
 MONOTONICITY_N_MAX = 8
+_RUN_ROWS = 2_048
 _ASCENT_ROUNDS = 20  # verify_bound halves its ascent step this many times
 
 # verify_identities: every sign vector up to _EXHAUSTIVE_N, _POOL random
@@ -226,22 +234,27 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     if top > best_value:
         best_value, best_point, method = top, point, "random"
 
-    P = rng.uniform(-1.0, 1.0, size=(starts, n))
+    # The starts are stored column-major: P is the (starts, n) view of the
+    # (n, starts) array PT, so each step moves one contiguous row of PT in
+    # place and puts back the entries that did not improve.
+    PT = rng.uniform(-1.0, 1.0, size=(starts, n)).T.copy()
+    P = PT.T
     vals = eval_q_batch(P)
     _top(vals, P, bound, "ascent")
     evaluations += starts
     bracket = 1.0
     for _ in range(_ASCENT_ROUNDS):
-        for c in range(n):
+        for col in PT:
             for delta in (bracket, -bracket):
-                Q = P.copy()
-                Q[:, c] = np.clip(Q[:, c] + delta, -1.0, 1.0)
-                qvals = eval_q_batch(Q)
-                _top(qvals, Q, bound, "ascent")
+                old = col.copy()
+                col += delta
+                np.clip(col, -1.0, 1.0, out=col)
+                qvals = eval_q_batch(P)
+                _top(qvals, P, bound, "ascent")
                 evaluations += starts
                 better = qvals > vals
-                P[better] = Q[better]
-                vals = np.where(better, qvals, vals)
+                np.copyto(col, old, where=~better)
+                np.copyto(vals, qvals, where=better)
         bracket *= 0.5
     idx = int(np.argmax(vals))
     top = float(vals[idx])
@@ -557,21 +570,26 @@ class MonotonicityReport:
         )
 
 
-def _move_violations(moves, schemes, Z, eps, samples_per_move: int) -> list[str]:
+def _move_violations(run, Z, samples_per_move: int) -> list[str]:
     """Check a run of moves on their z-samples, samples_per_move rows each.
 
-    schemes[k + 1] is moves[k] applied to schemes[k], so schemes[k] shows
-    the move's pattern; move k's samples start at row k*samples_per_move.
+    run holds one (eps, move, pre, post) per move, where post is the move
+    applied to the scheme pre, so pre shows the move's pattern; the run
+    may span certificates. Move k's samples start at row
+    k*samples_per_move. F goes through one grouped eval_f_batch call for
+    all the pre schemes and one for all the post schemes; the local
+    factor product is checked move by move.
     """
-    f_before = eval_f_batch(schemes[:-1], Z)
-    f_after = eval_f_batch(schemes[1:], Z)
+    _, _, pre, post = zip(*run)
+    f_before = eval_f_batch(pre, Z)
+    f_after = eval_f_batch(post, Z)
     violations = []
-    for k, move in enumerate(moves):
+    for k, (eps, move, _, _) in enumerate(run):
         rows = slice(k * samples_per_move, (k + 1) * samples_per_move)
         Zk = Z[rows]
         local = np.ones(samples_per_move)
         for (i, j), sign in zip(move.touched_positions(), move.required_signs()):
-            prods = np.prod(Zk[:, i - 1 : j], axis=1)
+            prods = np.multiply.reduce(Zk[:, i - 1 : j], axis=1)
             local = local * (1 - sign * prods)
         worst_local = float(np.max(local)) if samples_per_move else 0.0
         if not worst_local <= 1 + FACTOR_TOL:
@@ -599,12 +617,14 @@ def verify_monotonicity(
     Each move gets its own samples_per_move uniform z-samples, which must
     give F_before <= F_after up to PRODUCT_TOL; the product of the move's
     touched factors in the pre-move scheme must stay <= 1 up to
-    FACTOR_TOL. A certificate's moves are replayed first and then checked
-    together: one draw of z-samples for all of them, and one grouped
+    FACTOR_TOL. Each certificate's moves are replayed first. Whole
+    certificates then gather into runs of at most _RUN_ROWS sample rows,
+    and each run is checked together: one draw of z-samples, one grouped
     eval_f_batch call for the schemes before the moves and one for the
-    schemes after. The draws are the same numbers as one draw per move. A
-    long certificate is split into blocks of moves, so that no draw holds
-    more than _FLOAT_CAP floats.
+    schemes after. A certificate with more rows than that is checked
+    alone, split into blocks of moves so that no draw holds more than
+    _FLOAT_CAP floats. The draws are the same numbers as one draw per
+    move.
     """
     n_max = check_count("n_max", n_max, 1)
     samples_per_move = check_count("samples_per_move", samples_per_move)
@@ -614,20 +634,32 @@ def verify_monotonicity(
     violations: list[str] = []
     for n in range(1, n_max + 1):
         per_draw = _FLOAT_CAP // max(1, n * samples_per_move)  # moves per draw
+        per_run = min(per_draw, _RUN_ROWS // max(1, samples_per_move))
+        run: list = []
+
+        def check() -> None:
+            for a in range(0, len(run), per_draw):
+                block = run[a : a + per_draw]
+                Z = rng.uniform(0.0, 1.0, size=(len(block) * samples_per_move, n))
+                violations.extend(_move_violations(block, Z, samples_per_move))
+            run.clear()
+
         for eps in all_sign_vectors(n):
             cert = build_certificate(eps)
             certificates += 1
             moves_checked += len(cert.moves)
-            schemes = [generate_scheme(eps)]
+            if len(run) + len(cert.moves) > per_run:
+                check()
+            scheme = generate_scheme(eps)
             for move in cert.moves:
-                schemes.append(apply_move(schemes[-1], move))
-            for a in range(0, len(cert.moves), per_draw):
-                moves = cert.moves[a : a + per_draw]
-                Z = rng.uniform(0.0, 1.0, size=(len(moves) * samples_per_move, n))
-                block = schemes[a : a + len(moves) + 1]
-                violations += _move_violations(moves, block, Z, eps, samples_per_move)
-            if not is_reference(schemes[-1]):
+                after = apply_move(scheme, move)
+                run.append((eps, move, scheme, after))
+                scheme = after
+            if not is_reference(scheme):
                 violations.append(f"certificate for {eps} does not reach the target")
+            if len(run) > per_run:  # a certificate larger than a run, alone
+                check()
+        check()
     return MonotonicityReport(
         n_max=n_max,
         certificates=certificates,

@@ -15,7 +15,8 @@ and evaluation counts included.
 
 _reference_monotonicity is verify_monotonicity as first written: one
 draw of z-samples and two eval_f_batch calls per move. The package draws
-and evaluates a certificate's moves together; the reports must be equal.
+and evaluates runs of whole certificates together; the reports must be
+equal.
 
 The scalar helpers WrongCounts, horizontal_sum, vertical_sum,
 wrong_counts and square_sign_product live here, not in the package:
@@ -362,10 +363,33 @@ def test_grid_findings_match_reference(monkeypatch):
     assert rep == _reference_grid_max(6, 0.5)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
-@pytest.mark.parametrize("budget", [0, 1, oracle._BATCH, oracle._BATCH + 1])
+@pytest.mark.parametrize(
+    "budget,n",
+    [(b, n) for b in (0, 1, oracle._BATCH, oracle._BATCH + 1) for n in range(1, 5)]
+    + [(4_000, 8), (4_000, 12)],
+)
 def test_verify_bound_matches_reference(n, budget):
     assert verify_bound(n, budget, seed=5) == _reference_verify_bound(n, budget, seed=5)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_verify_bound_evaluates_the_reference_points(monkeypatch, n):
+    # The candidates attain the bound, so a report never shows the
+    # ascent's points: compare every batch both searches evaluate.
+    seen = []
+    top = oracle._top
+
+    def spy(vals, X, bound, where):
+        seen.append((where, np.ascontiguousarray(X).tobytes(), vals.tobytes()))
+        return top(vals, X, bound, where)
+
+    monkeypatch.setattr(oracle, "_top", spy)
+    verify_bound(n, 4_000, seed=5)
+    package = seen[:]
+    seen.clear()
+    _reference_verify_bound(n, 4_000, seed=5)
+    assert package == seen
+    assert len(seen) == 2 + 2 * oracle._ASCENT_ROUNDS * n
 
 
 def test_grid_memory_is_one_block():
@@ -469,3 +493,62 @@ def test_monotonicity_draws_stay_under_the_float_cap(monkeypatch):
     assert max(n * groups for groups, (_, n) in shapes) == 10
     assert sum(groups for groups, _ in shapes) == 2 * rep.moves_checked
     assert len(shapes) > 2 * rep.certificates
+
+
+def _spy_on_runs(monkeypatch):
+    """Record each certificate's move count and each eval_f_batch call's
+    (groups, rows) while verify_monotonicity runs."""
+    sizes, calls = [], []
+    build, evaluate = oracle.build_certificate, oracle.eval_f_batch
+
+    def build_spy(eps):
+        cert = build(eps)
+        sizes.append(len(cert.moves))
+        return cert
+
+    def evaluate_spy(schemes, Z):
+        calls.append((len(schemes), len(Z)))
+        return evaluate(schemes, Z)
+
+    monkeypatch.setattr(oracle, "build_certificate", build_spy)
+    monkeypatch.setattr(oracle, "eval_f_batch", evaluate_spy)
+    return sizes, calls
+
+
+def test_monotonicity_runs_span_certificates(monkeypatch):
+    # one draw and two eval_f_batch calls per run of certificates, not
+    # per certificate: 1,004 calls for the 502 certificates with moves
+    _, calls = _spy_on_runs(monkeypatch)
+    rep = verify_monotonicity(8, samples_per_move=10)
+    assert rep.violations == ()
+    assert len(calls) <= 60
+    assert sum(groups for groups, _ in calls) == 2 * rep.moves_checked
+
+
+def test_monotonicity_runs_hold_whole_certificates(monkeypatch):
+    # 1,000 samples per move: a run holds two moves, so most certificates
+    # are checked alone; none is split between calls
+    sizes, calls = _spy_on_runs(monkeypatch)
+    rep = verify_monotonicity(8, samples_per_move=1_000)
+    assert rep.violations == ()
+    ends = [0, *itertools.accumulate(s for s in sizes if s)]
+    assert len(calls) <= 2 * (len(ends) - 1)
+    # the calls alternate: a run's schemes before its moves, then after
+    before = calls[0::2]
+    assert before == calls[1::2]
+    cuts = [0, *itertools.accumulate(groups for groups, _ in before)]
+    assert set(cuts) <= set(ends) and cuts[-1] == rep.moves_checked
+    for (_, rows), a, b in zip(before, cuts, cuts[1:]):
+        # more than _RUN_ROWS rows only for one certificate alone
+        assert rows <= oracle._RUN_ROWS or ends.index(b) == ends.index(a) + 1
+
+
+def test_monotonicity_memory_is_one_run():
+    # a batch of a whole dimension (2,040 moves at n = 8) peaks at 6 MiB
+    tracemalloc.start()
+    try:
+        verify_monotonicity(8, samples_per_move=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
