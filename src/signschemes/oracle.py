@@ -21,9 +21,17 @@ draw and two grouped eval_f_batch calls per run, not per certificate.
 The draws are the same numbers as one draw per move, so the reports do
 not depend on how the moves are grouped.
 
+The other sampled sweeps hold one block at a time. verify_inequalities
+and verify_bound's random phase draw CHUNK rows per block, the batch
+kernel's own block: numpy fills rows in order, so these are the same
+numbers as one draw of every row. grid_max walks blocks of at most
+_BATCH points. Only verify_bound's ascent starts are held whole.
+
 Every suite refuses, before it starts, a run whose estimated work is
 over its cap (_check_cap, ResourceLimitError): identity squares, grid
 points, the monotonicity dimension, or the floats a sampled suite draws.
+For the suites that draw in blocks, the float rule limits work, not the
+size of any one array.
 Each verify_* function's rule is its own *_cap function, on its validated
 size arguments, so cli.run_suites can check every run before the first.
 
@@ -49,6 +57,7 @@ from .errors import (
     check_positive,
 )
 from .evaluate import (
+    CHUNK,
     FACTOR_INEQUALITIES,
     FACTOR_TOL,
     INEQUALITY_SIDES,
@@ -69,10 +78,15 @@ from .schemes import (
     is_reference,
 )
 
+# Points per grid_max block; also the random-phase term of bound_cap's
+# rule (verify_bound itself draws CHUNK rows per block).
 _BATCH = 250_000
 _GRID_POINT_CAP = 40_000_000
-# Floats a sampled suite draws into one array (80 MB): the points of
-# verify_inequalities, one block of z-samples, one batch of verify_bound.
+# Floats a sampled suite may draw, by its *_cap rule: all the points of
+# verify_inequalities, one draw of z-samples, and the larger of _BATCH
+# random points and the ascent starts of verify_bound. A z-sample draw and
+# the starts are each one array; the inequalities and the random phase
+# hold CHUNK rows at a time, so for them this limits work, not memory.
 _FLOAT_CAP = 10_000_000
 # verify_monotonicity sweeps every sign vector, so it stops at this n,
 # and checks whole certificates in runs of at most _RUN_ROWS z-samples.
@@ -121,7 +135,12 @@ def monotonicity_cap(n_max: int, samples_per_move: int) -> None:
 
 
 def bound_cap(n: int, budget: int) -> int:
-    """verify_bound(n, budget)'s ascent starts; refuses it over the float cap."""
+    """verify_bound(n, budget)'s ascent starts; refuses it over the float cap.
+
+    The rule counts n floats per row of the larger of min(budget, _BATCH)
+    and the starts. Only the starts are one array; the random phase holds
+    CHUNK rows at a time, so its term limits work, not memory.
+    """
     starts = max(1, budget // (2 * _ASCENT_ROUNDS * n))
     floats = n * max(min(budget, _BATCH), starts)
     _check_cap(floats, _FLOAT_CAP, f"verify_bound would draw {floats} floats")
@@ -144,7 +163,12 @@ def _top(vals, X, bound, where: str) -> tuple[int, float]:
 
 
 def _sweep(blocks, bound: int, where: str):
-    """Best value and point over the blocks, and the points within 1e-12 of bound."""
+    """Best value and point over the blocks, and the points within 1e-12 of bound.
+
+    Holds one block at a time: each block and its values are released
+    before the next is made. The best point is the first one to reach the
+    best value, as in one sweep of all the blocks' rows.
+    """
     best_value, best_point, near = -math.inf, (), []
     for X in blocks:
         vals = eval_q_batch(X)
@@ -152,6 +176,7 @@ def _sweep(blocks, bound: int, where: str):
         if top > best_value:
             best_value, best_point = top, tuple(X[idx].tolist())
         near += map(tuple, X[vals >= bound - 1e-12].tolist())
+        del X, vals  # before the next block is made
     return best_value, best_point, near
 
 
@@ -210,6 +235,11 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     refinement from random starts. Any value above bound + PRODUCT_TOL
     raises BoundViolationError; that cannot happen unless an evaluator
     is broken.
+
+    The random points are drawn and evaluated CHUNK rows at a time, the
+    same numbers as one draw, so memory holds one block of them; the
+    ascent then holds its starts, about budget / (40 n) points, whole.
+    bound_cap's float rule limits the work of both phases.
     """
     budget = check_count("budget", budget)
     bound = qmax_bound(n)
@@ -227,8 +257,8 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     evaluations = len(candidates) + budget
     rng = _rng(seed)
     blocks = (
-        rng.uniform(-1.0, 1.0, size=(min(_BATCH, budget - s), n))
-        for s in range(0, budget, _BATCH)
+        rng.uniform(-1.0, 1.0, size=(min(CHUNK, budget - s), n))
+        for s in range(0, budget, CHUNK)
     )
     top, point, _ = _sweep(blocks, bound, "random")
     if top > best_value:
@@ -503,27 +533,34 @@ class InequalityReport:
 def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityReport:
     """Sample the four factor inequalities at random points plus corners.
 
-    Random points are checked vectorized; the 8 corners of the cube go
-    through the scalar evaluator with exact integer arithmetic. Also
-    tracks the largest deviation of the quad_swap gap from its closed
-    factored form, which must stay at roundoff level.
+    Random points are checked vectorized, CHUNK points at a time: the
+    same numbers as one draw, with the first ten violations of each
+    inequality kept in point order, so memory holds one block of points.
+    inequalities_cap's rule, 3 * samples floats, limits work. The 8
+    corners of the cube go through the scalar evaluator with exact
+    integer arithmetic. Also tracks the largest deviation of the
+    quad_swap gap from its closed factored form, which must stay at
+    roundoff level.
     """
     samples = check_count("samples", samples)
     inequalities_cap(samples)
     rng = _rng(seed)
-    pts = rng.uniform(0.0, 1.0, size=(samples, 3))
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    violations: list[str] = []
-    for which, sides in INEQUALITY_SIDES.items():
-        lhs, rhs = np.broadcast_arrays(*sides(x, y, z))
-        bad = np.nonzero(lhs > rhs + FACTOR_TOL)[0]
-        for idx in bad[:10]:
-            violations.append(
-                f"{which} fails at {tuple(pts[idx].tolist())}: "
-                f"{float(lhs[idx])} > {float(rhs[idx])}"
-            )
-    residual = quad_swap_residual(x, y, z)
-    max_residual = float(np.max(np.abs(residual))) if samples else 0.0
+    found: dict[str, list[str]] = {which: [] for which in INEQUALITY_SIDES}
+    max_residual = 0.0
+    for s in range(0, samples, CHUNK):
+        pts = rng.uniform(0.0, 1.0, size=(min(CHUNK, samples - s), 3))
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        for which, sides in INEQUALITY_SIDES.items():
+            lhs, rhs = np.broadcast_arrays(*sides(x, y, z))
+            bad = np.nonzero(lhs > rhs + FACTOR_TOL)[0]
+            for idx in bad[: 10 - len(found[which])]:
+                found[which].append(
+                    f"{which} fails at {tuple(pts[idx].tolist())}: "
+                    f"{float(lhs[idx])} > {float(rhs[idx])}"
+                )
+        residual = np.abs(quad_swap_residual(x, y, z))
+        max_residual = float(np.max(residual, initial=max_residual))  # keeps a NaN
+    violations = [v for msgs in found.values() for v in msgs]
     if max_residual > FACTOR_TOL:
         violations.append(f"quad_swap gap factorization off by {max_residual}")
     corner_checks = 0

@@ -13,6 +13,10 @@ and the random phase as a countdown of batches. The package feeds both
 through one bounded sweep; the reports must be equal, points, findings
 and evaluation counts included.
 
+_reference_verify_inequalities is verify_inequalities with all its
+points in one array. The package draws them in blocks of CHUNK rows;
+the reports must be equal, violation messages included.
+
 _reference_monotonicity is verify_monotonicity as first written: one
 draw of z-samples and two eval_f_batch calls per move. The package draws
 and evaluates runs of whole certificates together; the reports must be
@@ -35,6 +39,7 @@ import pytest
 
 from signschemes import (
     IdentityReport,
+    InequalityReport,
     MaxReport,
     MonotonicityReport,
     Scheme,
@@ -43,6 +48,7 @@ from signschemes import (
     apply_move,
     build_certificate,
     candidate_maximizers,
+    check_factor_inequality,
     eval_f_batch,
     eval_q,
     eval_q_batch,
@@ -53,9 +59,11 @@ from signschemes import (
     reference_sign,
     verify_bound,
     verify_identities,
+    verify_inequalities,
     verify_monotonicity,
 )
-from signschemes import oracle
+from signschemes import evaluate, oracle
+from signschemes.evaluate import CHUNK
 from signschemes.schemes import MINUS, PLUS
 
 
@@ -366,7 +374,8 @@ def test_grid_findings_match_reference(monkeypatch):
 @pytest.mark.parametrize(
     "budget,n",
     [(b, n) for b in (0, 1, oracle._BATCH, oracle._BATCH + 1) for n in range(1, 5)]
-    + [(4_000, 8), (4_000, 12)],
+    + [(4_000, 8), (4_000, 12)]
+    + [(b, n) for b in (CHUNK - 1, CHUNK, CHUNK + 1) for n in range(1, 5)],
 )
 def test_verify_bound_matches_reference(n, budget):
     assert verify_bound(n, budget, seed=5) == _reference_verify_bound(n, budget, seed=5)
@@ -401,6 +410,97 @@ def test_grid_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # one 250,000-row batch of 12 floats is 22.9 MiB
+        pytest.param(lambda: verify_bound(12, 500_000), id="bound"),
+        # 10^6 points are 22.9 MiB, and each side of an inequality 7.6 MiB
+        pytest.param(lambda: verify_inequalities(1_000_000), id="inequalities"),
+    ],
+)
+def test_sampled_memory_is_one_block(call):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _reference_verify_inequalities(samples, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(samples, 3))
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    violations = []
+    for which, sides in oracle.INEQUALITY_SIDES.items():
+        lhs, rhs = np.broadcast_arrays(*sides(x, y, z))
+        bad = np.nonzero(lhs > rhs + oracle.FACTOR_TOL)[0]
+        for idx in bad[:10]:
+            violations.append(
+                f"{which} fails at {tuple(pts[idx].tolist())}: "
+                f"{float(lhs[idx])} > {float(rhs[idx])}"
+            )
+    residual = evaluate.quad_swap_residual(x, y, z)
+    max_residual = float(np.max(np.abs(residual))) if samples else 0.0
+    if max_residual > oracle.FACTOR_TOL:
+        violations.append(f"quad_swap gap factorization off by {max_residual}")
+    corner_checks = 0
+    for cx, cy, cz in itertools.product((0, 1), repeat=3):
+        for which in oracle.FACTOR_INEQUALITIES:
+            corner_checks += 1
+            res = check_factor_inequality(which, cx, cy, cz)
+            if not res.holds:
+                violations.append(
+                    f"{which} fails at corner ({cx},{cy},{cz}): "
+                    f"{res.lhs} > {res.rhs}"
+                )
+            if res.residual:
+                violations.append(
+                    f"quad_swap gap factorization off at corner "
+                    f"({cx},{cy},{cz}): {res.residual}"
+                )
+    return InequalityReport(
+        samples=samples,
+        seed=seed,
+        checked=samples * len(oracle.INEQUALITY_SIDES),
+        corner_checks=corner_checks,
+        max_residual=max_residual,
+        violations=tuple(sorted(violations)),
+    )
+
+
+@pytest.mark.parametrize("samples", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 100_000])
+def test_inequalities_match_reference(samples):
+    rep = verify_inequalities(samples, seed=5)
+    assert rep == _reference_verify_inequalities(samples, seed=5)
+    assert rep.violations == ()
+
+
+@pytest.mark.parametrize("samples,chunk", [(CHUNK + 5, CHUNK), (25, 4)])
+def test_inequality_violations_match_reference(monkeypatch, samples, chunk):
+    # a tolerance below every gap makes every point a violation, so the
+    # first ten of each inequality are kept across block boundaries
+    monkeypatch.setattr(oracle, "FACTOR_TOL", -10.0)
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    rep = verify_inequalities(samples, seed=2)
+    assert rep == _reference_verify_inequalities(samples, seed=2)
+    shown = Counter(v.split()[0] for v in rep.violations if " fails at (" in v)
+    assert shown == dict.fromkeys(oracle.INEQUALITY_SIDES, 10)
+
+
+def test_perturbed_catalogue_matches_reference(monkeypatch):
+    # quad_one with 1+xyz for 1-xyz: 0.7 * 1.3^3 > 1 at (1, 0.3, 1)
+    def quad_one_mutant(x, y, z):
+        return (1 - y) * (1 + x * y) * (1 + y * z) * (1 + x * y * z), 1
+
+    monkeypatch.setitem(evaluate.INEQUALITY_SIDES, "quad_one", quad_one_mutant)
+    rep = verify_inequalities(3 * CHUNK, seed=0)
+    assert rep == _reference_verify_inequalities(3 * CHUNK, seed=0)
+    assert any(v.startswith("quad_one fails at (") for v in rep.violations)
 
 
 def _reference_monotonicity(n_max, samples_per_move, seed=0):
