@@ -17,10 +17,12 @@ column k's wrong entries:
   * Finally add a Point move for every wrong '+' still left in the
     working column, top row first.
 
-Every per-column quantity comes from lists made once. With pre the
-prefix products of eps (pre[0] = 1), C[i,k] = pre[i-1]*pre[k]: column k
-is a slice of pre or of -pre, and V below row i is pre[k] times a
-difference of prefix sums of pre. (i,k) starts out wrong exactly when
+Every per-column quantity comes from lists that grow by one entry per
+column, so the builder reads eps once, in order, and its state after
+column k depends only on eps_1..eps_k. With pre the prefix products of
+eps (pre[0] = 1), C[i,k] = pre[i-1]*pre[k]: column k is a slice of pre
+or of -pre, and V below row i is pre[k] times a difference of prefix
+sums of pre. (i,k) starts out wrong exactly when
 (pre[i-1] == 1) ^ (i odd) equals (pre[k] == 1) ^ (k odd), so the scan
 visits only the rows of that class. No lookup scans either: the nearest
 unpaired wrong '+' below the scanned row is on top of a stack, and each
@@ -46,7 +48,6 @@ the first mismatch.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -85,22 +86,15 @@ class TraceStep:
 
 
 def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
-    n = len(eps)
     # moves as plain (kind, i, j, i2, j2) tuples, made Moves once at the end
     moves: list[tuple] = []
+    # These lists grow by one entry per column, reading eps once, in order.
     # ends[i]: indices into moves of the Point(i;j) and Vertical(.,i;j)
-    # moves, in creation order, so the top has the largest j
-    ends: list[list[int]] = [[] for _ in range(n + 1)]
-    # reference_sign(i, k) depends only on k - i: alt[d] = reference_sign(i, i + d)
-    alt = [MINUS, PLUS] * (n // 2) + [MINUS] * (n & 1)
-    # C[i,k] = pre[i-1] * pre[k]; acc[i] = pre[0] + ... + pre[i-1];
-    # rows[c]: the rows i with (pre[i-1] == 1) ^ (i odd) == c, ascending
-    pre, acc, rows = [1], [0], ([], [])
-    for i, e in enumerate(eps, 1):
-        rows[(pre[-1] == 1) ^ (i & 1)].append(i)
-        acc.append(acc[-1] + pre[-1])
-        pre.append(pre[-1] * e)
-    neg = [-p for p in pre]
+    # moves, in creation order, so the top has the largest j.
+    # reference_sign(i, k) depends only on k - i: alt[d] = reference_sign(i, i + d).
+    # C[i,k] = pre[i-1] * pre[k]; neg[i] = -pre[i]; acc[i] = pre[0] + ... +
+    # pre[i-1]; rows[c]: the rows i with (pre[i-1] == 1) ^ (i odd) == c, ascending
+    ends, alt, pre, neg, acc, rows = [[]], [], [1], [-1], [0], ([], [])
     if steps is not None:
         made = cache(lambda m: Move(*m))  # one Move per distinct trace move
 
@@ -108,15 +102,21 @@ def _build(eps, steps: list[TraceStep] | None) -> list[Move]:
         at = tuple(map(made, moves)) if op == OP_LEVEL else ()
         steps.append(TraceStep(level, op, action, tuple(flipped), tuple(work), at))
 
-    for k in range(1, n + 1):
+    for k, e in enumerate(eps, 1):
+        rows[(pre[-1] == 1) ^ (k & 1)].append(k)
+        acc.append(acc[-1] + pre[-1])
+        pre.append(pre[-1] * e)
+        neg.append(-pre[-1])
+        ends.append([])
+        alt.append(MINUS if k & 1 else PLUS)
         sign = pre[k]
         work = (pre if sign == 1 else neg)[:k]
-        ref = alt[k - 1 :: -1]
+        ref = alt[::-1]
         cls = rows[(sign == 1) ^ (k & 1)]  # the rows wrong at the start
         # wrong '+' rows below the scanned row, the nearest one on top
         wrong_plus: list[int] = []
 
-        for i in reversed(cls[: bisect_right(cls, k)]):
+        for i in reversed(cls):
             s = work[i - 1]
             if s == ref[i - 1]:
                 # the top corner of an earlier Square widening

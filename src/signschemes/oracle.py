@@ -95,9 +95,8 @@ _RUN_ROWS = 2_048
 _ASCENT_ROUNDS = 20  # verify_bound halves its ascent step this many times
 
 # verify_identities: every sign vector up to _EXHAUSTIVE_N, _POOL random
-# vectors per larger dimension, in blocks of 2^(n-4) vectors, at least 64
-# and at most _BLOCK (small blocks keep the arrays small where the sweep is
-# cheap anyway); at most _SQUARE_CAP squares per call.
+# vectors per larger dimension, in blocks of _BLOCK vectors (the reports do
+# not depend on it); at most _SQUARE_CAP squares per call.
 _EXHAUSTIVE_N = 16
 _BLOCK = 256
 _POOL = 512
@@ -322,18 +321,23 @@ def grid_max(n: int, step: float) -> MaxReport:
     K = 2 * m + 1
     total = K**n
     _check_cap(total, _GRID_POINT_CAP, f"grid would have {total} points")
-    g = np.array([k / m for k in range(-m, m + 1)])
     bound = qmax_bound(n)
-    # lexicographic blocks: each value of the first n - t coordinates with
-    # the K^t values of the last t (the largest t with K^t <= _BATCH, at
-    # least 1), cut into pieces of at most _BATCH points
-    t = max(1, min(n, int(math.log(_BATCH, K))))
-    tail = g[np.indices((K,) * t).reshape(t, K**t).T]
-    blocks = (
-        np.hstack([np.broadcast_to(head, (len(part), n - t)), part])
-        for head in itertools.product(g, repeat=n - t)
-        for part in np.split(tail, range(_BATCH, K**t, _BATCH))
-    )
+    if n == 1:
+        # pieces of at most _BATCH points, each made from its index range
+        blocks = (
+            (np.arange(s, min(s + _BATCH, K)) - m)[:, None] / m
+            for s in range(0, K, _BATCH)
+        )
+    else:
+        # lexicographic blocks: each value of the first n - t coordinates
+        # with the K^t values of the last t, the largest t <= n with K^t <= _BATCH
+        g = np.arange(-m, m + 1) / m
+        t = min(n, int(math.log(_BATCH, K)))
+        tail = g[np.indices((K,) * t).reshape(t, K**t).T]
+        blocks = (
+            np.hstack([np.broadcast_to(head, (K**t, n - t)), tail])
+            for head in itertools.product(g.tolist(), repeat=n - t)
+        )
     best_value, best_point, near = _sweep(blocks, bound, "grid")
     known = set(candidate_maximizers(n))
     findings = tuple(p for p in near if p not in known)
@@ -490,8 +494,7 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
                 )
         pool = iter(pool)
         target = _sign_tensor(np.full((1, n), float(MINUS)))
-        size = min(_BLOCK, max(64, 2 ** (n - 4)))
-        while block := list(itertools.islice(pool, size)):
+        while block := list(itertools.islice(pool, _BLOCK)):
             C = _sign_tensor(np.array(block, dtype=float))
             block_sums, block_parity, found = _identity_violations(C, block, target)
             vectors += len(block)
@@ -658,10 +661,11 @@ def verify_monotonicity(
     certificates then gather into runs of at most _RUN_ROWS sample rows,
     and each run is checked together: one draw of z-samples, one grouped
     eval_f_batch call for the schemes before the moves and one for the
-    schemes after. A certificate with more rows than that is checked
-    alone, split into blocks of moves so that no draw holds more than
-    _FLOAT_CAP floats. The draws are the same numbers as one draw per
-    move.
+    schemes after. A run is checked when the next certificate would not
+    fit in it, and at the end of each dimension, so a certificate with
+    more rows than a run is checked alone, split into blocks of moves so
+    that no draw holds more than _FLOAT_CAP floats. The draws are the
+    same numbers as one draw per move.
     """
     n_max = check_count("n_max", n_max, 1)
     samples_per_move = check_count("samples_per_move", samples_per_move)
@@ -694,8 +698,6 @@ def verify_monotonicity(
                 scheme = after
             if not is_reference(scheme):
                 violations.append(f"certificate for {eps} does not reach the target")
-            if len(run) > per_run:  # a certificate larger than a run, alone
-                check()
         check()
     return MonotonicityReport(
         n_max=n_max,

@@ -6,7 +6,11 @@ import pytest
 
 from signschemes import cli, oracle
 from signschemes.cli import main, run_suites
-from signschemes.errors import DomainError
+from signschemes.errors import (
+    AlgorithmInvariantError,
+    BoundViolationError,
+    DomainError,
+)
 from signschemes.moves import Certificate, Move, certificate_to_json
 from signschemes.normalize import build_certificate, render_trace, trace_build
 
@@ -121,6 +125,16 @@ class TestNormalize:
         assert [s["level"] for s in obj["trace"] if s["op"] == "level"] == list(
             range(1, 8)
         )
+
+    def test_builder_invariant_failure_exits_one(self, capsys, monkeypatch):
+        def broken(eps):
+            raise AlgorithmInvariantError("V = 0 at wrong '-' (1, 2)")
+
+        monkeypatch.setattr(cli, "build_certificate", broken)
+        code, out, err = run(capsys, "normalize", WORKED)
+        assert code == 1
+        assert out == ""
+        assert err == "error: V = 0 at wrong '-' (1, 2)\n"
 
 
 @pytest.fixture
@@ -355,6 +369,31 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {text}, cap is 10000000\n"
         assert calls == []
+
+    def test_violations_exit_one(self, capsys, monkeypatch):
+        # at this tolerance every sampled point fails all four inequalities,
+        # and the quad_swap residual is over it too
+        monkeypatch.setattr(oracle, "FACTOR_TOL", -10.0)
+        argv = ("verify", "--suite", "lemmas", "--n-max", "2", "--samples", "5")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        found = [line for line in lines if line.startswith("violation: ")]
+        assert len(found) == 4 * 5 + 1
+        assert all(line.startswith("violation: inequalities: ") for line in found)
+        assert lines[-1] == "verify: 21 violation(s)"
+
+    def test_bound_violation_exits_one(self, capsys, monkeypatch):
+        def violated(n, budget, seed):
+            raise BoundViolationError(f"random point (1.0,) gives 3.0 > bound {n}")
+
+        monkeypatch.setattr(cli, "verify_bound", violated)
+        argv = ("verify", "--suite", "bound", "--n-max", "2", "--samples", "10")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: random point (1.0,) gives 3.0 > bound 1\n"
 
     def test_run_suites_rejects_bad_counts(self):
         for n_max, samples in ((0, 10), (2.5, 10), (2, -5), (2, 1.5), (2, True)):

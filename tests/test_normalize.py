@@ -25,7 +25,13 @@ from signschemes import (
     trace_to_obj,
     wrong_set,
 )
-from signschemes.normalize import OP_LEVEL, OP_POINT, OP_SUBSTITUTE, OP_VERTICAL
+from signschemes.normalize import (
+    OP_LEVEL,
+    OP_POINT,
+    OP_SUBSTITUTE,
+    OP_VERTICAL,
+    _build,
+)
 
 TEST_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -234,6 +240,14 @@ def test_rebuilt_order_is_stable():
     cert1 = build_certificate(WORKED)
     cert2 = build_certificate(list(WORKED))
     assert cert1 == cert2
+
+
+def test_builder_reads_the_sign_vector_once_in_order():
+    # the builder's state after column k depends only on eps_1..eps_k, so
+    # a one-pass iterator of the signs builds the same certificate
+    for n in range(1, 9):
+        for eps in all_sign_vectors(n):
+            assert tuple(_build(iter(eps), None)) == build_certificate(eps).moves
 
 
 @TEST_SETTINGS

@@ -353,7 +353,7 @@ def test_sampled_suites_refuse_huge_counts_before_any_work(monkeypatch):
         lambda: verify_inequalities(10**9),
         lambda: verify_monotonicity(8, samples_per_move=10**9),
         lambda: verify_bound(3, budget=10**12),  # ascent starts ~ budget / 120
-        lambda: verify_bound(100, budget=250_000),  # one random batch
+        lambda: verify_bound(100, budget=250_000),  # n * min(budget, _BATCH) floats
     ):
         with pytest.raises(ResourceLimitError, match="cap is"):
             call()

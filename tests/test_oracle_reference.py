@@ -210,6 +210,18 @@ def test_random_pools_match_reference(monkeypatch):
         assert rep == _reference_identities(7, seed=seed, exhaustive_n=4)
 
 
+@pytest.mark.parametrize("exhaustive_n", [oracle._EXHAUSTIVE_N, 4])
+def test_identity_reports_do_not_depend_on_block_size(monkeypatch, exhaustive_n):
+    # Counts add across blocks and violations are sorted. With the
+    # exhaustive limit at 4, the random pools are cut into blocks too.
+    monkeypatch.setattr(oracle, "_EXHAUSTIVE_N", exhaustive_n)
+    reports = []
+    for block in (1, 7, 256):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        reports.append(verify_identities(9, seed=5))
+    assert reports[0] == reports[1] == reports[2]
+
+
 # A vector away from the cross-checked first and last of its dimension,
 # and one of its '+' cells (2,5) with i + j odd, so that every identity
 # involving that cell sees the flip.
@@ -410,6 +422,18 @@ def test_grid_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_grid_axis_memory_is_one_block():
+    # One coordinate at step 1e-6 has 2,000,001 points, 15.3 MiB of
+    # floats; a block of _BATCH points is 1.9 MiB.
+    tracemalloc.start()
+    try:
+        grid_max(1, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize(
