@@ -3,15 +3,28 @@
 
 Prints the same summary line per report as `signschemes verify`, each
 followed by the wall time of its stage. Exit codes as for the CLI: 0 no
-violations, 1 violations, 2 bad arguments or a refused run (one
-`error:` line on stderr).
+violations, 1 violations or a raised bound violation, 2 bad arguments or
+a refused run (each error one `error:` line on stderr).
 """
 
 import argparse
 import sys
 import time
 
-from signschemes.cli import USAGE_ERRORS, run_suites
+from signschemes.cli import run_command, run_suites
+
+
+def _report(args) -> int:
+    violations = 0
+    t0 = time.perf_counter()
+    for name, rep in run_suites("all", args.n_max, args.samples, args.seed):
+        violations += len(getattr(rep, "violations", ()))
+        stage_s = time.perf_counter() - t0
+        print(f"{name}: {rep.summary()} [{stage_s:.1f}s]", flush=True)
+        t0 = time.perf_counter()
+
+    print("OK" if violations == 0 else f"{violations} violation(s)")
+    return 0 if violations == 0 else 1
 
 
 def main() -> int:
@@ -21,20 +34,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    violations = 0
-    t0 = time.perf_counter()
-    try:
-        for name, rep in run_suites("all", args.n_max, args.samples, args.seed):
-            violations += len(getattr(rep, "violations", ()))
-            stage_s = time.perf_counter() - t0
-            print(f"{name}: {rep.summary()} [{stage_s:.1f}s]", flush=True)
-            t0 = time.perf_counter()
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    print("OK" if violations == 0 else f"{violations} violation(s)")
-    return 0 if violations == 0 else 1
+    return run_command(_report, args)
 
 
 if __name__ == "__main__":

@@ -69,6 +69,16 @@ USAGE_ERRORS = (
     ResourceLimitError,
 )
 
+
+def run_command(command, *args) -> int:
+    """command(*args)'s exit code; a typed error is one 'error:' line and 2 or 1."""
+    try:
+        return command(*args)
+    except (*USAGE_ERRORS, BoundViolationError, AlgorithmInvariantError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
+
+
 # Tokens shaped like sign vectors, e.g. '-,-,-' or '-1,1' or '--+'.
 _DASH_VECTOR = re.compile(r"-[+\-01,\s]*")
 
@@ -116,16 +126,14 @@ def _cmd_normalize(args) -> int:
 def _cmd_check(args) -> int:
     eps = parse_signs(args.signs)
     try:
-        with open(args.certificate, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.certificate, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {args.certificate}: {exc}", file=sys.stderr)
-        return 2
+        raise DomainError(f"cannot read {args.certificate}: {exc}") from exc
     try:
-        cert = certificate_from_json(text)
-    except (ValueError, TriangleIndexError, RecursionError) as exc:
-        print(f"error: certificate parse error: {exc}", file=sys.stderr)
-        return 2
+        cert = certificate_from_json(data)
+    except USAGE_ERRORS as exc:
+        raise DomainError(f"certificate parse error: {exc}") from exc
     report = check_certificate(eps, cert)
     if args.json:
         print(report_to_json(report))
@@ -187,8 +195,7 @@ def _cmd_verify(args) -> int:
         try:
             seed = int(raw)
         except ValueError:
-            print(f"error: {SEED_ENV}={raw!r} is not an integer", file=sys.stderr)
-            return 2
+            raise DomainError(f"{SEED_ENV}={raw!r} is not an integer") from None
     named_reports = list(run_suites(args.suite, args.n_max, args.samples, seed))
     violations = []
     for name, rep in named_reports:
@@ -300,14 +307,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_escape_dash_vectors(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BoundViolationError, AlgorithmInvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

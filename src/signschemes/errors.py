@@ -54,6 +54,8 @@ def check_count(name: str, value, least: int = 0) -> int:
 
 
 def check_positive(name: str, value) -> None:
-    """DomainError unless value is a real number with 0 < value < inf."""
-    if not (isinstance(value, Real) and 0 < value < math.inf):
+    """DomainError unless value is a real number with 0 < value < inf (not a bool)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, Real) and 0 < value < math.inf
+    ):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")

@@ -162,14 +162,10 @@ def _blocks(groups: int, size: int):
     A block is whole groups when a group fits in CHUNK rows, otherwise a
     piece of at most CHUNK rows of one group.
     """
-    if size <= CHUNK:
-        step = CHUNK // size
-        for g0 in range(0, groups, step):
-            yield g0 * size, g0, min(step, groups - g0), size
-    else:
-        for g0 in range(groups):
-            for r0 in range(0, size, CHUNK):
-                yield g0 * size + r0, g0, 1, min(CHUNK, size - r0)
+    step = max(1, CHUNK // size)
+    for g0 in range(0, groups, step):
+        for r0 in range(0, size, CHUNK):
+            yield g0 * size + r0, g0, min(step, groups - g0), min(CHUNK, size - r0)
 
 
 def _product_batch(X: np.ndarray, signs=None) -> np.ndarray:

@@ -162,6 +162,18 @@ class Move(tuple):
         return cls(get("kind"), get("i"), get("j"), get("i2"), get("j2"))
 
 
+def rows_mismatch(rows, move: Move):
+    """First (position, required_sign, found_sign) where rows, laid out as
+    Scheme.rows, disagree with the move's pattern, or None. The move must
+    lie inside the triangle.
+    """
+    for (r, c), req in zip(move.touched_positions(), move.required_signs()):
+        found = rows[r - 1][c - r]
+        if found != req:
+            return (r, c), req, found
+    return None
+
+
 def pattern_mismatch(scheme: Scheme, move: Move):
     """First position where scheme disagrees with the move's pattern, or None.
 
@@ -172,11 +184,7 @@ def pattern_mismatch(scheme: Scheme, move: Move):
     _, i, j, _, j2 = move
     if (j2 or j) > scheme.n:
         scheme.check_position(i, j if j > scheme.n else j2)
-    for (r, c), req in zip(move.touched_positions(), move.required_signs()):
-        found = scheme.rows[r - 1][c - r]
-        if found != req:
-            return (r, c), req, found
-    return None
+    return rows_mismatch(scheme.rows, move)
 
 
 def apply_move(scheme: Scheme, move: Move) -> Scheme:
@@ -285,10 +293,14 @@ def certificate_from_obj(obj) -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Parse certificate JSON text (str, bytes or bytearray)."""
+    """Parse certificate JSON text (str, or bytes or bytearray in UTF-8, -16 or -32)."""
     if not isinstance(text, (str, bytes, bytearray)):
         got = type(text).__name__
         raise DomainError(
             f"certificate JSON must be str, bytes or bytearray, got {got}"
         )
-    return certificate_from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(str(exc)) from exc
+    return certificate_from_obj(obj)

@@ -42,8 +42,8 @@ Certificate only (anything else raises DomainError), builds its own grid
 from prefix slices and replays each move by kind: a Point reads one cell,
 a Horizontal or Vertical two and a Square four, compared with the kind's
 pattern in one test and, when they match, overwritten with the flipped
-values. Only a move that fails its pattern walks its positions, to name
-the first mismatch.
+values. Only a move that fails its pattern walks its positions, in
+moves.rows_mismatch, to name the first mismatch.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import AlgorithmInvariantError, DimensionError, DomainError
-from .moves import HORIZONTAL, POINT, SQUARE, VERTICAL, Certificate, Move
+from .moves import HORIZONTAL, POINT, SQUARE, VERTICAL, Certificate, Move, rows_mismatch
 from .schemes import (
     MINUS,
     PLUS,
@@ -322,11 +322,7 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
         seen.update(keys)
         if not ok:
             preconditions_ok = False
-            pos, req, found = next(
-                (p, req, grid[p[0] - 1][p[1] - p[0]])
-                for p, req in zip(move.touched_positions(), move.required_signs())
-                if grid[p[0] - 1][p[1] - p[0]] != req
-            )
+            pos, req, found = rows_mismatch(grid, move)
             failures.append(
                 f"move {idx} {move}: needs '{sign_char(req)}' at {pos}, "
                 f"found '{sign_char(found)}'"

@@ -315,6 +315,11 @@ def grid_max(n: int, step: float) -> MaxReport:
     """
     n = check_count("dimension", n, 1)
     check_positive("step", step)
+    # below 1/cap one axis alone is over the cap, and 1 / step may overflow
+    if step * _GRID_POINT_CAP < 1:
+        raise ResourceLimitError(
+            f"grid step {step} is below 1/{_GRID_POINT_CAP}, cap is {_GRID_POINT_CAP}"
+        )
     m = round(1.0 / step)
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1 evenly")

@@ -115,8 +115,10 @@ class Scheme:
         return len(self.rows)
 
     def check_position(self, i: int, j: int) -> None:
-        # int first: isinstance stops there, before the far slower ABC check
-        if not (isinstance(i, (int, Integral)) and isinstance(j, (int, Integral))):
+        # plain ints pass before the far slower ABC check; bools are not indices
+        if not (type(i) is type(j) is int) and not all(
+            isinstance(v, Integral) and not isinstance(v, bool) for v in (i, j)
+        ):
             raise DomainError(f"position indices must be integers: ({i!r}, {j!r})")
         if not (1 <= i <= j <= self.n):
             raise TriangleIndexError(

@@ -417,6 +417,8 @@ def test_every_single_index_change_matches_reference():
 # Values that replace a field: every JSON type, plus integers that are out
 # of range for any triangle index.
 SWAPS = (True, False, 1.5, "1", None, [1], {}, 0, -3, 10**20)
+# a fresh copy per draw: later operations edit the drawn list or dict in place
+SWAP_VALUES = st.sampled_from(SWAPS).map(copy.deepcopy)
 MOVE_FIELDS = ("kind", "i", "i2", "j", "j2")
 KINDS = ("P", "H", "V", "S", "X", "p")
 
@@ -467,18 +469,19 @@ def mutated_certificates(draw):
         elif op == "kind" and moves and isinstance(moves[idx], dict):
             moves[idx]["kind"] = draw(st.sampled_from(KINDS))
         elif op == "field_type" and moves and isinstance(moves[idx], dict):
-            moves[idx][draw(st.sampled_from(MOVE_FIELDS))] = draw(st.sampled_from(SWAPS))
+            moves[idx][draw(st.sampled_from(MOVE_FIELDS))] = draw(SWAP_VALUES)
         elif op == "drop_field" and moves and isinstance(moves[idx], dict):
             moves[idx].pop(draw(st.sampled_from(MOVE_FIELDS)), None)
         elif op == "extra_field" and moves and isinstance(moves[idx], dict):
             moves[idx][draw(st.sampled_from(("extra", "I", "k")))] = 1
         elif op == "move_type" and moves:
-            moves[idx] = draw(st.sampled_from(SWAPS))
+            moves[idx] = draw(SWAP_VALUES)
         elif op == "top_type":
-            obj[draw(st.sampled_from(("n", "eps", "moves")))] = draw(st.sampled_from(SWAPS))
+            obj[draw(st.sampled_from(("n", "eps", "moves")))] = draw(SWAP_VALUES)
         elif op == "eps_entry" and isinstance(obj.get("eps"), list) and obj["eps"]:
             pos = draw(st.integers(0, len(obj["eps"]) - 1))
-            obj["eps"][pos] = draw(st.sampled_from(SWAPS + (-1, 1, 2)))
+            entries = st.sampled_from(SWAPS + (-1, 1, 2)).map(copy.deepcopy)
+            obj["eps"][pos] = draw(entries)
         if not isinstance(obj.get("moves"), list):
             break
     other = tuple(draw(st.lists(st.sampled_from((PLUS, MINUS)), min_size=n, max_size=n)))

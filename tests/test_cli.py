@@ -10,9 +10,21 @@ from signschemes.errors import (
     AlgorithmInvariantError,
     BoundViolationError,
     DomainError,
+    ResourceLimitError,
 )
-from signschemes.moves import Certificate, Move, certificate_to_json
-from signschemes.normalize import build_certificate, render_trace, trace_build
+from signschemes.moves import (
+    Certificate,
+    Move,
+    certificate_from_json,
+    certificate_to_json,
+)
+from signschemes.normalize import (
+    build_certificate,
+    check_certificate,
+    render_trace,
+    trace_build,
+)
+from signschemes.oracle import report_to_json
 
 WORKED = "+,-,+,+,-,+,+"
 WORKED_EPS = (1, -1, 1, 1, -1, 1, 1)
@@ -214,6 +226,33 @@ class TestCheck:
         code, _, err = run(capsys, "check", WORKED, str(tmp_path / "absent.json"))
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe\x7b", WORKED_JSON.replace("]}", ',"\u00e9"]}').encode("latin-1")],
+        ids=["truncated utf-16", "latin-1"],
+    )
+    def test_undecodable_certificate_is_a_parse_error(self, capsys, tmp_path, data):
+        # the file was read as UTF-8 text: a UnicodeDecodeError traceback, exit 1
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "check", WORKED, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: certificate parse error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+    def test_certificate_bytes_decode_as_in_the_library(
+        self, capsys, tmp_path, encoding
+    ):
+        # the UTF-16 file crashed and the BOM file was a parse error
+        path = tmp_path / "cert.json"
+        path.write_text(WORKED_JSON, encoding=encoding)
+        cert = certificate_from_json(path.read_bytes())
+        expected = check_certificate(WORKED_EPS, cert)
+        assert expected.accepted
+        code, out, err = run(capsys, "check", WORKED, str(path), "--json")
+        assert (code, out, err) == (0, report_to_json(expected) + "\n", "")
 
 
 class TestVerify:
@@ -452,6 +491,28 @@ class TestBound:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (BoundViolationError("3.0 > bound 2"), 1),
+            (AlgorithmInvariantError("V = 0"), 1),
+            (DomainError("bad input"), 2),
+            (ResourceLimitError("too big, cap is 1"), 2),
+        ],
+    )
+    def test_run_command_maps_typed_errors(self, capsys, exc, code):
+        def command(arg):
+            assert arg == "arg"
+            raise exc
+
+        assert cli.run_command(command, "arg") == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {exc}\n")
+
+    def test_run_command_returns_the_exit_code(self, capsys):
+        assert cli.run_command(lambda: 3) == 3
+        assert capsys.readouterr().err == ""
+
     def test_no_arguments(self, capsys):
         assert main([]) == 2
 

@@ -381,6 +381,31 @@ def test_certificate_json_golden():
     assert certificate_from_json(bytearray(WORKED_JSON, "utf-8")) == cert
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"eps":[1],"moves":[],"note":"\xe9"}', "can't decode byte 0xe9"),
+        (b"\xff\xfe{", "truncated data"),
+        ("{not json", "Expecting property name"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion"),
+        ('{"eps":[1],"moves":[],"n":' + "9" * 5000 + "}", "Exceeds the limit"),
+    ],
+    ids=["latin-1 bytes", "truncated utf-16", "syntax", "nesting", "long integer"],
+)
+def test_certificate_from_json_decoder_errors_are_domain_errors(data, message):
+    # json.loads raised these as UnicodeDecodeError, JSONDecodeError,
+    # RecursionError and a plain ValueError
+    with pytest.raises(DomainError, match=message) as exc:
+        certificate_from_json(data)
+    assert type(exc.value) is DomainError
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32"])
+def test_certificate_from_json_decodes_every_json_encoding(encoding):
+    cert = Certificate(WORKED, WORKED_MOVES)
+    assert certificate_from_json(WORKED_JSON.encode(encoding)) == cert
+
+
 class _Index(enum.IntEnum):
     ONE = 1
     TWO = 2

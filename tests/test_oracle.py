@@ -234,6 +234,13 @@ def test_grid_max_rejects_non_number_step():
             grid_max(2, step)
 
 
+def test_grid_max_refuses_a_step_whose_inverse_overflows():
+    # 1 / step is a float infinity here, and round() raised OverflowError
+    for step in (5e-324, 1e-310):
+        with pytest.raises(ResourceLimitError, match="cap is 40000000"):
+            grid_max(1, step)
+
+
 def test_grid_max_cost_guards():
     with pytest.raises(ResourceLimitError):
         grid_max(7, 0.1)

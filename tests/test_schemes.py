@@ -16,19 +16,30 @@ from signschemes import (
     PLUS,
     DimensionError,
     DomainError,
+    Move,
     Scheme,
     TriangleIndexError,
     all_sign_vectors,
     as_sign_vector,
+    candidate_maximizers,
+    discriminant_bound,
     format_signs,
     generate_scheme,
+    grid_max,
+    hermite_constant,
     is_reference,
     parse_signs,
+    qmax_bound,
     reference_scheme,
     reference_sign,
     sign_char,
+    verify_bound,
+    verify_identities,
+    verify_inequalities,
+    verify_monotonicity,
     wrong_set,
 )
+from signschemes.cli import run_suites
 from test_oracle_reference import (
     WrongCounts,
     horizontal_sum,
@@ -338,6 +349,52 @@ def test_sizes_and_positions_must_be_integers():
             scheme.sign(i, j)
     assert reference_scheme(np.int64(2)).rows == ((-1, 1), (-1,))
     assert scheme.sign(np.int64(1), np.int64(5)) == PLUS
+
+
+_SCHEME = generate_scheme((1, -1, 1))
+
+# Each public count, index, position and positive-real parameter, given True.
+TRUE_ARGUMENTS = {
+    "reference_scheme n": lambda: reference_scheme(True),
+    "all_sign_vectors n": lambda: all_sign_vectors(True),
+    "qmax_bound n": lambda: qmax_bound(True),
+    "candidate_maximizers n": lambda: candidate_maximizers(True),
+    "verify_bound n": lambda: verify_bound(True, 10),
+    "verify_bound budget": lambda: verify_bound(2, True),
+    "verify_bound seed": lambda: verify_bound(2, 10, seed=True),
+    "grid_max n": lambda: grid_max(True, 0.5),
+    "grid_max step": lambda: grid_max(2, True),
+    "verify_identities n_max": lambda: verify_identities(True),
+    "verify_identities seed": lambda: verify_identities(2, seed=True),
+    "verify_inequalities samples": lambda: verify_inequalities(True),
+    "verify_inequalities seed": lambda: verify_inequalities(10, seed=True),
+    "verify_monotonicity n_max": lambda: verify_monotonicity(True, 10),
+    "verify_monotonicity samples_per_move": lambda: verify_monotonicity(2, True),
+    "verify_monotonicity seed": lambda: verify_monotonicity(2, 10, seed=True),
+    "run_suites n_max": lambda: list(run_suites("bound", True, 10, 0)),
+    "run_suites samples": lambda: list(run_suites("bound", 2, True, 0)),
+    "run_suites seed": lambda: list(run_suites("bound", 2, 10, True)),
+    "hermite_constant d": lambda: hermite_constant(True),
+    "discriminant_bound n": lambda: discriminant_bound(True, 1.0),
+    "discriminant_bound regulator": lambda: discriminant_bound(3, True),
+    "discriminant_bound gamma": lambda: discriminant_bound(3, 1.0, True),
+    "Move i": lambda: Move("P", True, 1),
+    "Move j": lambda: Move("P", 1, True),
+    "Move i2": lambda: Move("V", 1, 2, True),
+    "Move j2": lambda: Move("H", 1, 1, None, True),
+    "Scheme.sign i": lambda: _SCHEME.sign(True, 2),
+    "Scheme.sign j": lambda: _SCHEME.sign(1, True),
+    "Scheme.check_position i": lambda: _SCHEME.check_position(True, 2),
+    "Scheme.with_flipped i": lambda: _SCHEME.with_flipped([(True, 2)]),
+    "Scheme.with_flipped j": lambda: _SCHEME.with_flipped([(1, True)]),
+}
+
+
+@pytest.mark.parametrize("call", TRUE_ARGUMENTS.values(), ids=TRUE_ARGUMENTS)
+def test_true_is_not_a_count_index_position_or_real(call):
+    # True equals 1, but no integer or real rule takes a bool
+    with pytest.raises(DomainError):
+        call()
 
 
 @TEST_SETTINGS

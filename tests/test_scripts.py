@@ -1,5 +1,6 @@
 """Smoke runs of the scripts in scripts/, as separate processes."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from signschemes.cli import run_suites
+from signschemes.errors import BoundViolationError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +46,26 @@ def test_run_verification_usage_errors_exit_2(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_run_verification_bound_violation_exits_1(capsys, monkeypatch):
+    # in-process, so that a suite can raise: this ended in a traceback
+    spec = importlib.util.spec_from_file_location(
+        "run_verification", ROOT / "scripts" / "run_verification.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def violated(*args):
+        raise BoundViolationError("random point (1.0,) gives 3.0 > bound 2")
+        yield
+
+    monkeypatch.setattr(script, "run_suites", violated)
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--n-max", "2"])
+    assert script.main() == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: random point (1.0,) gives 3.0 > bound 2\n"
 
 
 def test_worked_example_is_accepted():
