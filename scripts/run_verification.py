@@ -2,7 +2,8 @@
 """Run every corroboration suite at desk scale and report violations.
 
 Prints the same summary line per report as `signschemes verify`, each
-followed by the wall time of its stage. Exit codes as for the CLI: 0 no
+followed by the wall time of its stage, then each violation as a
+`violation: <suite>: <text>` line. Exit codes as for the CLI: 0 no
 violations, 1 violations or a raised bound violation, 2 bad arguments or
 a refused run (each error one `error:` line on stderr).
 """
@@ -15,16 +16,18 @@ from signschemes.cli import run_command, run_suites
 
 
 def _report(args) -> int:
-    violations = 0
+    violations = []
     t0 = time.perf_counter()
     for name, rep in run_suites("all", args.n_max, args.samples, args.seed):
-        violations += len(getattr(rep, "violations", ()))
+        violations.extend(f"{name}: {v}" for v in getattr(rep, "violations", ()))
         stage_s = time.perf_counter() - t0
         print(f"{name}: {rep.summary()} [{stage_s:.1f}s]", flush=True)
         t0 = time.perf_counter()
 
-    print("OK" if violations == 0 else f"{violations} violation(s)")
-    return 0 if violations == 0 else 1
+    for line in violations:
+        print(f"violation: {line}")
+    print("OK" if not violations else f"{len(violations)} violation(s)")
+    return 0 if not violations else 1
 
 
 def main() -> int:

@@ -56,7 +56,12 @@ def _fraction(c) -> Fraction:
 
 
 def _coords(point, exact: bool) -> tuple:
-    coords = tuple(map(_fraction, point)) if exact else tuple(point)
+    try:
+        coords = tuple(point)
+    except TypeError:
+        raise DomainError(f"evaluation point must be a sequence, got {point!r}") from None
+    if exact:
+        coords = tuple(map(_fraction, coords))
     if not coords:
         raise DimensionError("evaluation point must be non-empty")
     return coords
@@ -123,6 +128,8 @@ def _product(coords, rows, exact: bool):
 
 
 def _scheme_coords(scheme: Scheme, z, exact: bool) -> tuple:
+    if not isinstance(scheme, Scheme):
+        raise DomainError("eval_f takes Scheme objects only")
     coords = _in_cube(_coords(z, exact), 0)
     if len(coords) != scheme.n:
         raise DimensionError(

@@ -178,8 +178,14 @@ def pattern_mismatch(scheme: Scheme, move: Move):
     """First position where scheme disagrees with the move's pattern, or None.
 
     Returns (position, required_sign, found_sign). A move that leaves the
-    triangle raises TriangleIndexError, whatever the signs.
+    triangle raises TriangleIndexError, whatever the signs; anything but a
+    Scheme and a Move raises DomainError.
     """
+    if not (isinstance(scheme, Scheme) and isinstance(move, Move)):
+        raise DomainError(
+            f"expected a Scheme and a Move, got {type(scheme).__name__} "
+            f"and {type(move).__name__}"
+        )
     # a Move's index order keeps all but its last column inside the triangle
     _, i, j, _, j2 = move
     if (j2 or j) > scheme.n:

@@ -320,7 +320,8 @@ def grid_max(n: int, step: float) -> MaxReport:
         raise ResourceLimitError(
             f"grid step {step} is below 1/{_GRID_POINT_CAP}, cap is {_GRID_POINT_CAP}"
         )
-    m = round(1.0 / step)
+    # a step above 1 cannot divide 1, and 1.0 / step overflows for a huge int
+    m = round(1.0 / step) if step <= 1 else 0
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1 evenly")
     K = 2 * m + 1

@@ -1,19 +1,22 @@
 """Triangular sign schemes generated by sign vectors.
 
-A scheme of size n assigns a sign to every pair (i, j) with
-1 <= i <= j <= n, arranged as a triangle: row i holds the signs
-(i, i), (i, i+1), ..., (i, n). The schemes of interest are generated
-from a sign vector eps by taking consecutive products,
+A scheme of size n assigns a sign, the int +1 or -1 and never a bool,
+float or numpy scalar, to every pair (i, j) with 1 <= i <= j <= n,
+arranged as a triangle: row i holds the signs (i, i), (i, i+1), ..., (i, n).
+The schemes of interest are generated from a sign vector eps through its
+prefix products pre[k] = eps[1] * ... * eps[k], pre[0] = 1:
 
-    C[i, j] = eps[i] * eps[i+1] * ... * eps[j],
+    C[i, j] = eps[i] * eps[i+1] * ... * eps[j] = pre[i-1] * pre[j].
 
-and the distinguished target scheme alternates along each row starting
-with a minus on the diagonal.
+The target scheme, generated by the all-minus vector, alternates along
+each row starting with a minus on the diagonal; row i is a prefix of row 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterator
@@ -24,17 +27,15 @@ PLUS = 1
 MINUS = -1
 
 _SIGN_CHARS = {PLUS: "+", MINUS: "-"}
-_SIGN_SET = frozenset(_SIGN_CHARS)
 
 _PARSE_TOKENS = {"+": PLUS, "+1": PLUS, "1": PLUS, "-": MINUS, "-1": MINUS}
 
 
 def sign_char(s: int) -> str:
-    """'+' or '-' for a sign value."""
-    try:
-        return _SIGN_CHARS[s]
-    except KeyError:
-        raise DomainError(f"not a sign: {s!r}") from None
+    """'+' or '-' for a sign value; DomainError for anything else, True included."""
+    if type(s) is not int or s not in _SIGN_CHARS:
+        raise DomainError(f"not a sign: {s!r}")
+    return _SIGN_CHARS[s]
 
 
 def as_sign_vector(values) -> tuple[int, ...]:
@@ -80,7 +81,8 @@ def parse_signs(text: str) -> tuple[int, ...]:
 
 
 def format_signs(eps) -> str:
-    return " ".join(sign_char(v) for v in eps)
+    """'+ - +' for a sign vector; refuses what as_sign_vector refuses."""
+    return " ".join(map(sign_char, as_sign_vector(eps)))
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,7 @@ class Scheme:
                     f"row {idx + 1} has length {len(row)}, expected {n - idx}"
                 )
             for v in row:
-                # plain ints only: True and 1.0 also compare equal to 1
-                if type(v) is not int or v not in _SIGN_SET:
+                if type(v) is not int or v not in _SIGN_CHARS:
                     raise DomainError(f"scheme entries must be +1 or -1, got {v!r}")
 
     @property
@@ -115,15 +116,7 @@ class Scheme:
         return len(self.rows)
 
     def check_position(self, i: int, j: int) -> None:
-        # plain ints pass before the far slower ABC check; bools are not indices
-        if not (type(i) is type(j) is int) and not all(
-            isinstance(v, Integral) and not isinstance(v, bool) for v in (i, j)
-        ):
-            raise DomainError(f"position indices must be integers: ({i!r}, {j!r})")
-        if not (1 <= i <= j <= self.n):
-            raise TriangleIndexError(
-                f"position ({i}, {j}) outside triangle of size {self.n}"
-            )
+        _check_position(i, j, self.n)
 
     def sign(self, i: int, j: int) -> int:
         self.check_position(i, j)
@@ -131,9 +124,7 @@ class Scheme:
 
     def positions(self) -> Iterator[tuple[int, int]]:
         """All (i, j) with 1 <= i <= j <= n, row by row."""
-        for i in range(1, self.n + 1):
-            for j in range(i, self.n + 1):
-                yield i, j
+        return itertools.combinations_with_replacement(range(1, self.n + 1), 2)
 
     def with_flipped(self, positions) -> "Scheme":
         """A copy with the signs at the given positions negated."""
@@ -153,31 +144,24 @@ class Scheme:
 
     def render(self) -> str:
         """ASCII triangle, one row per line, indented to align columns."""
-        lines = []
-        for i, row in enumerate(self.rows, start=1):
-            lines.append("  " * (i - 1) + " ".join(sign_char(v) for v in row))
-        return "\n".join(lines)
+        return "\n".join(
+            "  " * i + " ".join(map(sign_char, row)) for i, row in enumerate(self.rows)
+        )
 
     def __str__(self) -> str:
         return self.render()
 
 
 def generate_scheme(eps) -> Scheme:
-    """The scheme with C[i, j] = eps[i] * ... * eps[j].
+    """The scheme with C[i, j] = eps[i] * ... * eps[j] = pre[i-1] * pre[j].
 
-    Computed with running products along each row, O(n^2) total.
+    Row i is the slice pre[i:] of the prefix products, or of their
+    negation where pre[i-1] = -1. Refuses what as_sign_vector refuses.
     """
-    eps = as_sign_vector(eps)
-    n = len(eps)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        prod = 1
-        for j in range(i, n + 1):
-            prod *= eps[j - 1]
-            row.append(prod)
-        rows.append(tuple(row))
-    return Scheme._trusted(tuple(rows))  # products of plain +1/-1 ints
+    pre = (PLUS, *itertools.accumulate(as_sign_vector(eps), operator.mul))
+    neg = tuple(-p for p in pre)
+    rows = tuple((pre if p == PLUS else neg)[i:] for i, p in enumerate(pre[:-1], 1))
+    return Scheme._trusted(rows)  # products of plain +1/-1 ints
 
 
 def _check_size(name: str, n) -> int:
@@ -187,8 +171,20 @@ def _check_size(name: str, n) -> int:
     return check_count(name, n, 1)
 
 
+def _check_position(i, j, n) -> None:
+    """Refuse (i, j) unless both are integers, not bools, with 1 <= i <= j <= n."""
+    # plain ints pass before the far slower ABC check
+    if not (type(i) is type(j) is int) and not all(
+        isinstance(v, Integral) and not isinstance(v, bool) for v in (i, j)
+    ):
+        raise DomainError(f"position indices must be integers: ({i!r}, {j!r})")
+    if not (1 <= i <= j <= n):
+        raise TriangleIndexError(f"position ({i}, {j}) outside triangle of size {n}")
+
+
 def reference_sign(i: int, j: int) -> int:
-    """Sign at (i, j) in the target scheme: minus on the diagonal, alternating."""
+    """Target sign at integers 1 <= i <= j: minus on the diagonal, alternating."""
+    _check_position(i, j, math.inf)
     return MINUS if (j - i) % 2 == 0 else PLUS
 
 
@@ -199,11 +195,13 @@ def reference_scheme(n: int) -> Scheme:
 
 def wrong_set(scheme: Scheme) -> frozenset[tuple[int, int]]:
     """Positions whose sign differs from the target scheme."""
+    target = tuple(reference_sign(1, j) for j in range(1, scheme.n + 1))
     return frozenset(
         (i, j)
         for i, row in enumerate(scheme.rows, 1)
-        for j, sign in enumerate(row, i)
-        if sign != reference_sign(i, j)
+        if row != target[: len(row)]
+        for j, (sign, want) in enumerate(zip(row, target), i)
+        if sign != want
     )
 
 

@@ -21,16 +21,45 @@ from signschemes import (
     eval_p,
     eval_q,
     eval_q_batch,
+    Move,
+    apply_move,
     generate_scheme,
     qmax_bound,
     reference_scheme,
 )
+from signschemes.moves import pattern_mismatch
 
 TEST_SETTINGS = settings(max_examples=200, deadline=None)
 
 x_points = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=8
 ).map(tuple)
+
+
+_S = generate_scheme((1, -1, 1))
+
+
+# Each raised a bare TypeError, AttributeError or ValueError.
+WRONG_TYPED_CALLS = {
+    "eval_q(None)": lambda: eval_q(None),
+    "eval_q(5)": lambda: eval_q(5),
+    "eval_q(5, exact=True)": lambda: eval_q(5, exact=True),
+    "eval_p(5)": lambda: eval_p(5),
+    "chamber_of(None)": lambda: chamber_of(None),
+    "change_of_variables(3)": lambda: change_of_variables(3),
+    "eval_f(S, 0.5)": lambda: eval_f(_S, 0.5),
+    "eval_f('abc', (0.5,))": lambda: eval_f("abc", (0.5,)),
+    "apply_move(S, tuple)": lambda: apply_move(_S, ("P", 1, 1, None, None)),
+    "apply_move('abc', move)": lambda: apply_move("abc", Move.point(1, 1)),
+    "apply_move(S, 'P')": lambda: apply_move(_S, "P"),
+    "pattern_mismatch(S, None)": lambda: pattern_mismatch(_S, None),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPED_CALLS.values(), ids=WRONG_TYPED_CALLS)
+def test_wrong_typed_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_eval_p_single_factor():

@@ -223,6 +223,13 @@ def test_grid_max_validates_step():
         grid_max(2, -0.5)
 
 
+def test_grid_max_refuses_a_step_above_one_before_dividing():
+    # 1.0 / 10**400 raised a bare OverflowError
+    for step in (10**400, 2, 1.5):
+        with pytest.raises(DomainError, match="does not divide 1 evenly"):
+            grid_max(2, step)
+
+
 def test_grid_max_rejects_nan_step():
     with pytest.raises(DomainError):
         grid_max(2, float("nan"))

@@ -5,6 +5,8 @@ tests/test_oracle_reference.py keeps as the identity sweep's reference.
 """
 
 import itertools
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -262,6 +264,31 @@ def test_format_signs_roundtrip():
     assert parse_signs(format_signs(FIVE)) == FIVE
 
 
+# True and 1.0 compare equal to 1, so the sign lookups took them, and
+# reference_sign checked nothing: it raised a bare TypeError or gave a sign.
+SIGN_HELPER_REFUSALS = {
+    "sign_char(True)": (lambda: sign_char(True), DomainError),
+    "sign_char(1.0)": (lambda: sign_char(1.0), DomainError),
+    "sign_char(np.int64(1))": (lambda: sign_char(np.int64(1)), DomainError),
+    "sign_char([1])": (lambda: sign_char([1]), DomainError),
+    "format_signs((True, 1.0))": (lambda: format_signs((True, 1.0)), DomainError),
+    "format_signs(3)": (lambda: format_signs(3), DomainError),
+    "reference_sign('a', 1)": (lambda: reference_sign("a", 1), DomainError),
+    "reference_sign(1, 2.0)": (lambda: reference_sign(1, 2.0), DomainError),
+    "reference_sign(0, -5)": (lambda: reference_sign(0, -5), TriangleIndexError),
+    "reference_sign(3, 2)": (lambda: reference_sign(3, 2), TriangleIndexError),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error", SIGN_HELPER_REFUSALS.values(), ids=SIGN_HELPER_REFUSALS
+)
+def test_sign_helpers_refuse_what_a_scheme_refuses(call, error):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+
+
 def test_reference_sign_parity():
     assert reference_sign(1, 1) == MINUS
     assert reference_sign(1, 2) == PLUS
@@ -387,6 +414,8 @@ TRUE_ARGUMENTS = {
     "Scheme.check_position i": lambda: _SCHEME.check_position(True, 2),
     "Scheme.with_flipped i": lambda: _SCHEME.with_flipped([(True, 2)]),
     "Scheme.with_flipped j": lambda: _SCHEME.with_flipped([(1, True)]),
+    "reference_sign i": lambda: reference_sign(True, 1),
+    "reference_sign j": lambda: reference_sign(1, True),
 }
 
 
@@ -414,6 +443,44 @@ def test_entries_are_consecutive_products(eps):
         for k in range(i, j + 1):
             prod *= eps[k - 1]
         assert scheme.sign(i, j) == prod
+
+
+def _consecutive_products(eps):
+    """Rows of the generated scheme by definition: eps[i] * ... * eps[j], j >= i."""
+    return tuple(
+        tuple(itertools.accumulate(eps[i:], operator.mul)) for i in range(len(eps))
+    )
+
+
+def test_generate_scheme_rows_are_consecutive_products():
+    rng = random.Random(20)
+    vectors = [eps for n in range(1, 13) for eps in all_sign_vectors(n)]
+    vectors += [
+        tuple(rng.choice((PLUS, MINUS)) for _ in range(rng.randint(1, 128)))
+        for _ in range(200)
+    ]
+    for eps in vectors:
+        assert generate_scheme(eps).rows == _consecutive_products(eps)
+
+
+def test_wrong_set_and_is_reference_match_the_definition():
+    def wrong_by_definition(scheme):
+        return frozenset(
+            (i, j) for i, j in scheme.positions() if scheme.sign(i, j) != (-1) ** (j - i + 1)
+        )
+
+    rng = random.Random(8)
+    schemes = [generate_scheme(eps) for n in range(1, 9) for eps in all_sign_vectors(n)]
+    schemes += [  # flipped entries make schemes that no sign vector generates
+        s.with_flipped(rng.sample(list(s.positions()), rng.randint(1, s.n)))
+        for s in list(schemes)
+    ]
+    target = reference_scheme(8)
+    schemes += [target.with_flipped([pos]) for pos in target.positions()]
+    for scheme in schemes:
+        wrong = wrong_by_definition(scheme)
+        assert wrong_set(scheme) == wrong
+        assert is_reference(scheme) == (not wrong)
 
 
 @TEST_SETTINGS

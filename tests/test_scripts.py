@@ -48,13 +48,17 @@ def test_run_verification_usage_errors_exit_2(argv):
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
-def test_run_verification_bound_violation_exits_1(capsys, monkeypatch):
-    # in-process, so that a suite can raise: this ended in a traceback
-    spec = importlib.util.spec_from_file_location(
-        "run_verification", ROOT / "scripts" / "run_verification.py"
-    )
+def load_script(name):
+    """The script as a module, to run in-process with patched suites."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_verification_bound_violation_exits_1(capsys, monkeypatch):
+    # in-process, so that a suite can raise: this ended in a traceback
+    script = load_script("run_verification")
 
     def violated(*args):
         raise BoundViolationError("random point (1.0,) gives 3.0 > bound 2")
@@ -66,6 +70,33 @@ def test_run_verification_bound_violation_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: random point (1.0,) gives 3.0 > bound 2\n"
+
+
+def test_run_verification_prints_each_violation(capsys, monkeypatch):
+    # the violations were counted but never printed
+    class Report:
+        def __init__(self, *violations):
+            self.violations = violations
+
+        def summary(self):
+            return f"{len(self.violations)} bad"
+
+    script = load_script("run_verification")
+    reports = [("identities", Report("a fails")), ("bound n=2", Report("b", "c"))]
+    monkeypatch.setattr(script, "run_suites", lambda *args: iter(reports))
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--n-max", "2"])
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [re.sub(r" \[\d+\.\ds\]$", "", line) for line in lines[:2]] == [
+        "identities: 1 bad",
+        "bound n=2: 2 bad",
+    ]
+    assert lines[2:] == [
+        "violation: identities: a fails",
+        "violation: bound n=2: b",
+        "violation: bound n=2: c",
+        "3 violation(s)",
+    ]
 
 
 def test_worked_example_is_accepted():
