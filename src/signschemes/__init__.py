@@ -1,5 +1,11 @@
 """Sign-vector triangular schemes, rewrite-move certificates, and the
-maximum of the associated cube product polynomials."""
+maximum of the associated cube product polynomials.
+
+The names of the numpy-backed modules, evaluate and oracle, are imported
+on first access, so the certificate API never loads numpy.
+"""
+
+import importlib
 
 from .bounds import (
     HERMITE_MAX_RANK,
@@ -17,20 +23,6 @@ from .errors import (
     ResourceLimitError,
     TriangleIndexError,
 )
-from .evaluate import (
-    FACTOR_INEQUALITIES,
-    FACTOR_TOL,
-    PRODUCT_TOL,
-    InequalityCheck,
-    chamber_of,
-    change_of_variables,
-    check_factor_inequality,
-    eval_f,
-    eval_f_batch,
-    eval_p,
-    eval_q,
-    eval_q_batch,
-)
 from .moves import (
     Certificate,
     Move,
@@ -47,22 +39,9 @@ from .normalize import (
     build_certificate,
     check_certificate,
     render_trace,
+    report_to_json,
     trace_build,
     trace_to_obj,
-)
-from .oracle import (
-    IdentityReport,
-    InequalityReport,
-    MaxReport,
-    MonotonicityReport,
-    candidate_maximizers,
-    grid_max,
-    qmax_bound,
-    report_to_json,
-    verify_bound,
-    verify_identities,
-    verify_inequalities,
-    verify_monotonicity,
 )
 from .schemes import (
     MINUS,
@@ -81,3 +60,54 @@ from .schemes import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the numpy-backed module it is read from on first access (PEP 562);
+# the modules themselves are listed too, as importing the package bound them
+_LAZY = dict.fromkeys(
+    (
+        "evaluate",
+        "FACTOR_INEQUALITIES",
+        "FACTOR_TOL",
+        "PRODUCT_TOL",
+        "InequalityCheck",
+        "chamber_of",
+        "change_of_variables",
+        "check_factor_inequality",
+        "eval_f",
+        "eval_f_batch",
+        "eval_p",
+        "eval_q",
+        "eval_q_batch",
+    ),
+    "evaluate",
+) | dict.fromkeys(
+    (
+        "oracle",
+        "IdentityReport",
+        "InequalityReport",
+        "MaxReport",
+        "MonotonicityReport",
+        "candidate_maximizers",
+        "grid_max",
+        "qmax_bound",
+        "verify_bound",
+        "verify_identities",
+        "verify_inequalities",
+        "verify_monotonicity",
+    ),
+    "oracle",
+)
+
+
+def __getattr__(name: str):
+    """A name of evaluate or oracle, imported now and bound here for next time."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    if name not in globals():  # importing a submodule binds it already
+        globals()[name] = getattr(module, name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -39,20 +39,9 @@ from .normalize import (
     build_certificate,
     check_certificate,
     render_trace,
+    report_to_json,
     trace_build,
     trace_to_obj,
-)
-from .oracle import (
-    MONOTONICITY_N_MAX,
-    bound_cap,
-    identities_cap,
-    inequalities_cap,
-    monotonicity_cap,
-    report_to_json,
-    verify_bound,
-    verify_identities,
-    verify_inequalities,
-    verify_monotonicity,
 )
 from .schemes import format_signs, generate_scheme, parse_signs
 
@@ -68,6 +57,31 @@ USAGE_ERRORS = (
     InvalidMoveError,
     ResourceLimitError,
 )
+
+# The suites' names in oracle, bound here on first access (PEP 562), so
+# that gen, normalize, check and bound never import numpy. run_suites binds
+# them all first and then calls them through this module's globals, where
+# a wrapper set in their place (a tracer's, a test's) is kept.
+_ORACLE_NAMES = (
+    "MONOTONICITY_N_MAX",
+    "bound_cap",
+    "identities_cap",
+    "inequalities_cap",
+    "monotonicity_cap",
+    "verify_bound",
+    "verify_identities",
+    "verify_inequalities",
+    "verify_monotonicity",
+)
+
+
+def __getattr__(name: str):
+    """A suite name of oracle, imported now and bound here for next time."""
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return globals().setdefault(name, getattr(oracle, name))
 
 
 def run_command(command, *args) -> int:
@@ -167,6 +181,8 @@ def run_suites(suite: str, n_max: int, samples: int, seed: int):
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
+    for name in _ORACLE_NAMES:
+        __getattr__(name)
     n_max = check_count("n_max", n_max, 1)
     samples = check_count("samples", samples)
     runs = []  # (name, cap rule, suite function, size arguments)

@@ -48,7 +48,8 @@ moves.rows_mismatch, to name the first mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 from functools import cache
 
 from .errors import AlgorithmInvariantError, DimensionError, DomainError
@@ -234,6 +235,11 @@ class CheckReport:
     @property
     def n(self) -> int:
         return len(self.eps)
+
+
+def report_to_json(report) -> str:
+    """JSON for a CheckReport or any oracle report dataclass, field order preserved."""
+    return json.dumps(asdict(report), separators=(",", ":"))
 
 
 def check_certificate(eps, cert: Certificate) -> CheckReport:

@@ -41,9 +41,7 @@ the seed it was produced with.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -69,7 +67,7 @@ from .evaluate import (
     quad_swap_residual,
 )
 from .moves import apply_move
-from .normalize import build_certificate
+from .normalize import build_certificate, report_to_json  # noqa: F401 (re-exported)
 from .schemes import (
     MINUS,
     PLUS,
@@ -713,8 +711,3 @@ def verify_monotonicity(
         seed=seed,
         violations=tuple(sorted(violations)),
     )
-
-
-def report_to_json(report) -> str:
-    """JSON for any of the report dataclasses, field order preserved."""
-    return json.dumps(dataclasses.asdict(report), separators=(",", ":"))

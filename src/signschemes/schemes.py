@@ -66,6 +66,8 @@ def parse_signs(text: str) -> tuple[int, ...]:
     Accepts the tokens +, -, +1, -1, 1 separated by whitespace or commas;
     a string of bare +/- characters with no separators also works.
     """
+    if not isinstance(text, str):
+        raise DomainError(f"sign vector text must be a str, got {type(text).__name__}")
     cleaned = text.replace(",", " ").strip()
     if not cleaned:
         raise DimensionError("empty sign vector")
@@ -129,9 +131,14 @@ class Scheme:
     def with_flipped(self, positions) -> "Scheme":
         """A copy with the signs at the given positions negated."""
         rows = [list(row) for row in self.rows]
-        for i, j in positions:
-            self.check_position(i, j)
-            rows[i - 1][j - i] = -rows[i - 1][j - i]
+        try:
+            for i, j in positions:
+                self.check_position(i, j)
+                rows[i - 1][j - i] = -rows[i - 1][j - i]
+        except DomainError:  # check_position's own refusal
+            raise
+        except (TypeError, ValueError):  # iterating or unpacking positions failed
+            raise DomainError(f"positions must be (i, j) pairs, got {positions!r}") from None
         # a negated sign is a sign, so only the positions need checking
         return Scheme._trusted(tuple(map(tuple, rows)))
 

@@ -217,6 +217,9 @@ def test_generate_scheme_equals_a_validated_scheme():
         (((1, 6),), TriangleIndexError, "position (1, 6) outside triangle of size 5"),
         (((1.5, 2),), DomainError, "position indices must be integers: (1.5, 2)"),
         (((1, "2"),), DomainError, "position indices must be integers: (1, '2')"),
+        (5, DomainError, "positions must be (i, j) pairs, got 5"),
+        ([(1,)], DomainError, "positions must be (i, j) pairs, got [(1,)]"),
+        ([(1, 2, 3)], DomainError, "positions must be (i, j) pairs, got [(1, 2, 3)]"),
     ],
 )
 def test_with_flipped_checks_every_position(positions, error, message):
@@ -257,6 +260,16 @@ def test_parse_signs_errors():
         parse_signs("")
     with pytest.raises(DomainError):
         parse_signs("+,x")
+
+
+@pytest.mark.parametrize(
+    "text, type_name", [(None, "NoneType"), (5, "int"), (b"+-", "bytes")]
+)
+def test_parse_signs_refuses_non_text(text, type_name):
+    with pytest.raises(DomainError) as exc:
+        parse_signs(text)
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == f"sign vector text must be a str, got {type_name}"
 
 
 def test_format_signs_roundtrip():
