@@ -98,6 +98,10 @@ _LAZY = dict.fromkeys(
     "oracle",
 )
 
+# the public names, lazy ones too, so that `from signschemes import *` binds
+# them all (and so loads numpy)
+__all__ = sorted({n for n in globals() if n[0] != "_"} - {"importlib"} | _LAZY.keys())
+
 
 def __getattr__(name: str):
     """A name of evaluate or oracle, imported now and bound here for next time."""

@@ -3,7 +3,8 @@
 Subcommands: gen (render a generated scheme), normalize (build a move
 certificate, optionally with a trace), check (replay a certificate
 file), verify (run the corroboration suites), bound (the discriminant
-bound calculator).
+bound calculator). Only verify loads numpy: its suites import oracle on
+their first call.
 
 Exit codes: 0 success or accepted, 1 verification failure or rejected
 certificate, 2 usage or parse error.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -58,30 +60,18 @@ USAGE_ERRORS = (
     ResourceLimitError,
 )
 
-# The suites' names in oracle, bound here on first access (PEP 562), so
-# that gen, normalize, check and bound never import numpy. run_suites binds
-# them all first and then calls them through this module's globals, where
-# a wrapper set in their place (a tracer's, a test's) is kept.
-_ORACLE_NAMES = (
-    "MONOTONICITY_N_MAX",
-    "bound_cap",
-    "identities_cap",
-    "inequalities_cap",
-    "monotonicity_cap",
-    "verify_bound",
-    "verify_identities",
-    "verify_inequalities",
-    "verify_monotonicity",
-)
+
+def _oracle(name: str, *args, **kwargs):
+    from . import oracle  # and so numpy, on the first call
+
+    return getattr(oracle, name)(*args, **kwargs)
 
 
-def __getattr__(name: str):
-    """A suite name of oracle, imported now and bound here for next time."""
-    if name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-
-    return globals().setdefault(name, getattr(oracle, name))
+# run_suites calls these through this module's globals: a wrapper set here is what runs
+verify_bound = functools.partial(_oracle, "verify_bound")
+verify_identities = functools.partial(_oracle, "verify_identities")
+verify_inequalities = functools.partial(_oracle, "verify_inequalities")
+verify_monotonicity = functools.partial(_oracle, "verify_monotonicity")
 
 
 def run_command(command, *args) -> int:
@@ -181,20 +171,22 @@ def run_suites(suite: str, n_max: int, samples: int, seed: int):
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
-    for name in _ORACLE_NAMES:
-        __getattr__(name)
+    from . import oracle
+
     n_max = check_count("n_max", n_max, 1)
     samples = check_count("samples", samples)
     runs = []  # (name, cap rule, suite function, size arguments)
     if suite in ("lemmas", "all"):
-        runs.append(("identities", identities_cap, verify_identities, (n_max,)))
-        runs.append(("inequalities", inequalities_cap, verify_inequalities, (samples,)))
+        runs.append(("identities", oracle.identities_cap, verify_identities, (n_max,)))
+        runs.append(
+            ("inequalities", oracle.inequalities_cap, verify_inequalities, (samples,))
+        )
     if suite in ("monotonicity", "all"):
-        mono = (min(n_max, MONOTONICITY_N_MAX), max(10, samples // 100))
-        runs.append(("monotonicity", monotonicity_cap, verify_monotonicity, mono))
+        mono = (min(n_max, oracle.MONOTONICITY_N_MAX), max(10, samples // 100))
+        runs.append(("monotonicity", oracle.monotonicity_cap, verify_monotonicity, mono))
     if suite in ("bound", "all"):
         runs += [
-            (f"bound n={n}", bound_cap, verify_bound, (n, samples))
+            (f"bound n={n}", oracle.bound_cap, verify_bound, (n, samples))
             for n in range(1, n_max + 1)
         ]
     for _, cap, _, args in runs:

@@ -227,7 +227,13 @@ class Certificate:
         return len(self.eps)
 
 
+def _check_is_certificate(cert) -> None:
+    if not isinstance(cert, Certificate):
+        raise DomainError(f"expected a Certificate, got {type(cert).__name__}")
+
+
 def certificate_to_obj(cert: Certificate) -> dict:
+    _check_is_certificate(cert)
     return {
         "n": cert.n,
         "eps": list(cert.eps),
@@ -251,6 +257,7 @@ _MOVE_JSON = {
 
 def certificate_to_json(cert: Certificate) -> str:
     """Compact JSON, equal byte for byte to json.dumps of certificate_to_obj."""
+    _check_is_certificate(cert)
     moves = []
     for m in cert.moves:
         template, fields = _MOVE_JSON[m[0]]

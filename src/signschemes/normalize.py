@@ -49,7 +49,7 @@ moves.rows_mismatch, to name the first mismatch.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache
 
 from .errors import AlgorithmInvariantError, DimensionError, DomainError
@@ -239,6 +239,8 @@ class CheckReport:
 
 def report_to_json(report) -> str:
     """JSON for a CheckReport or any oracle report dataclass, field order preserved."""
+    if not is_dataclass(report) or isinstance(report, type):
+        raise DomainError(f"expected a report dataclass, got {type(report).__name__}")
     return json.dumps(asdict(report), separators=(",", ":"))
 
 
@@ -363,7 +365,7 @@ def render_trace(eps, steps) -> str:
     eps = as_sign_vector(eps)
     n = len(eps)
     by_level: dict[int, list[TraceStep]] = {k: [] for k in range(1, n + 1)}
-    for s in steps:
+    for s in _trace_steps(steps, n):
         by_level[s.level].append(s)
     # column j of every rendered row sits at character 2(j-1)
     rendered = generate_scheme(eps).render().split("\n")
@@ -387,9 +389,24 @@ def render_trace(eps, steps) -> str:
     return "\n".join(lines[:-1])
 
 
+def _trace_steps(steps, n: int) -> tuple[TraceStep, ...]:
+    """steps as a tuple, each a TraceStep of a level in 1..n, else DomainError."""
+    try:
+        steps = tuple(steps)
+    except TypeError:
+        raise DomainError(f"expected TraceStep steps, got {type(steps).__name__}") from None
+    for s in steps:
+        if not isinstance(s, TraceStep):
+            raise DomainError(f"expected TraceStep steps, got a step of {type(s).__name__}")
+        if s.level not in range(1, n + 1):
+            raise DomainError(f"trace step level {s.level!r} is outside 1..{n}")
+    return steps
+
+
 def trace_to_obj(eps, steps) -> dict:
+    eps = as_sign_vector(eps)
     return {
-        "eps": list(as_sign_vector(eps)),
+        "eps": list(eps),
         "steps": [
             {
                 "level": s.level,
@@ -399,6 +416,6 @@ def trace_to_obj(eps, steps) -> dict:
                 "column": list(s.column),
                 "moves": [m.to_obj() for m in s.moves],
             }
-            for s in steps
+            for s in _trace_steps(steps, len(eps))
         ],
     }

@@ -50,7 +50,9 @@ import numpy as np
 from .errors import (
     BoundViolationError,
     DomainError,
+    InvalidMoveError,
     ResourceLimitError,
+    TriangleIndexError,
     check_count,
     check_positive,
 )
@@ -661,15 +663,17 @@ def verify_monotonicity(
     Each move gets its own samples_per_move uniform z-samples, which must
     give F_before <= F_after up to PRODUCT_TOL; the product of the move's
     touched factors in the pre-move scheme must stay <= 1 up to
-    FACTOR_TOL. Each certificate's moves are replayed first. Whole
-    certificates then gather into runs of at most _RUN_ROWS sample rows,
-    and each run is checked together: one draw of z-samples, one grouped
-    eval_f_batch call for the schemes before the moves and one for the
-    schemes after. A run is checked when the next certificate would not
-    fit in it, and at the end of each dimension, so a certificate with
-    more rows than a run is checked alone, split into blocks of moves so
-    that no draw holds more than _FLOAT_CAP floats. The draws are the
-    same numbers as one draw per move.
+    FACTOR_TOL. Each certificate's moves are replayed first; a move that
+    cannot be applied is a violation and ends that certificate's replay,
+    and moves_checked counts the moves replayed. Whole certificates then
+    gather into runs of at most _RUN_ROWS sample rows, and each run is
+    checked together: one draw of z-samples, one grouped eval_f_batch call
+    for the schemes before the moves and one for the schemes after. A run
+    is checked when the next certificate would not fit in it, and at the
+    end of each dimension, so a certificate with more rows than a run is
+    checked alone, split into blocks of moves so that no draw holds more
+    than _FLOAT_CAP floats. The draws are the same numbers as one draw per
+    move.
     """
     n_max = check_count("n_max", n_max, 1)
     samples_per_move = check_count("samples_per_move", samples_per_move)
@@ -692,16 +696,21 @@ def verify_monotonicity(
         for eps in all_sign_vectors(n):
             cert = build_certificate(eps)
             certificates += 1
-            moves_checked += len(cert.moves)
             if len(run) + len(cert.moves) > per_run:
                 check()
+            start = len(run)
             scheme = generate_scheme(eps)
-            for move in cert.moves:
-                after = apply_move(scheme, move)
-                run.append((eps, move, scheme, after))
-                scheme = after
-            if not is_reference(scheme):
-                violations.append(f"certificate for {eps} does not reach the target")
+            try:
+                for move in cert.moves:
+                    after = apply_move(scheme, move)
+                    run.append((eps, move, scheme, after))
+                    scheme = after
+            except (InvalidMoveError, TriangleIndexError) as exc:
+                violations.append(f"certificate for {eps}: {exc}")
+            else:
+                if not is_reference(scheme):
+                    violations.append(f"certificate for {eps} does not reach the target")
+            moves_checked += len(run) - start
         check()
     return MonotonicityReport(
         n_max=n_max,

@@ -202,6 +202,8 @@ def reference_scheme(n: int) -> Scheme:
 
 def wrong_set(scheme: Scheme) -> frozenset[tuple[int, int]]:
     """Positions whose sign differs from the target scheme."""
+    if not isinstance(scheme, Scheme):
+        raise DomainError(f"expected a Scheme, got {type(scheme).__name__}")
     target = tuple(reference_sign(1, j) for j in range(1, scheme.n + 1))
     return frozenset(
         (i, j)

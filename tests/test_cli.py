@@ -14,7 +14,6 @@ from signschemes.errors import (
 )
 from signschemes.moves import (
     Certificate,
-    Move,
     certificate_from_json,
     certificate_to_json,
 )
@@ -317,15 +316,24 @@ class TestVerify:
         )
         assert json.loads(out)["seed"] == 3
 
-    def test_invalid_move_is_usage_error(self, capsys, monkeypatch):
-        # Point(1;1) needs '+', so replaying it on eps=(-1,) must fail
-        monkeypatch.setattr(
-            "signschemes.oracle.build_certificate",
-            lambda eps: Certificate(eps, (Move.point(1, 1),)),
-        )
-        code, _, err = run(capsys, "verify", "--suite", "monotonicity", "--n-max", "2")
-        assert code == 2
-        assert err.startswith("error:")
+    def test_invalid_move_is_a_violation(self, capsys, monkeypatch):
+        # a Point repeated finds '-' where it needs '+': exit 1, not a usage error
+        build = oracle.build_certificate
+
+        def corrupt(eps):
+            cert = build(eps)
+            return Certificate(eps, cert.moves[:1] + cert.moves) if len(eps) == 3 else cert
+
+        monkeypatch.setattr(oracle, "build_certificate", corrupt)
+        argv = ("verify", "--suite", "monotonicity", "--n-max", "3", "--samples", "1000")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == ""
+        assert (
+            "violation: monotonicity: certificate for (1, 1, 1): "
+            "Point(1;1) requires '+' at (1, 1), found '-'"
+        ) in out.splitlines()
+        assert out.splitlines()[-1] == "verify: 7 violation(s)"
 
     def test_monotonicity_samples_scale_with_budget(self, capsys):
         code, out, _ = run(

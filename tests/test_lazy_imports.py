@@ -1,9 +1,10 @@
 """The numpy-backed modules load on first use, and every old name still binds.
 
 evaluate and oracle are the only modules that import numpy. The package
-and the CLI bind their names on first access (PEP 562), so building,
-serialising and checking a certificate, and the gen, normalize, check
-and bound commands, never load numpy.
+binds their names on first access (PEP 562), and the CLI's four verify_*
+suites import oracle on their first call, so building, serialising and
+checking a certificate, the gen, normalize, check and bound commands,
+and reading or wrapping cli.verify_bound never load numpy.
 """
 
 import json
@@ -73,28 +74,65 @@ with contextlib.redirect_stdout(io.StringIO()):
     ):
         assert signschemes.cli.main(argv) == 0, argv
         step(argv[0])
-signschemes.verify_bound
-step("verify_bound")
+calls = []
+unwrapped = signschemes.cli.verify_bound
+def wrapper(*args, **kwargs):
+    calls.append(args)
+    return unwrapped(*args, **kwargs)
+signschemes.cli.verify_bound = wrapper
+step("wrap")
+assert [name for name, _ in signschemes.cli.run_suites("bound", 1, 10, 0)] == ["bound n=1"]
+assert calls == [(1, 10)]
+step("run_suites")
 print(json.dumps({"loaded": loaded, "dir": names}))
 """
 
 
-def test_certificates_and_the_numpy_free_commands_never_load_numpy(tmp_path):
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_certificates_and_the_numpy_free_commands_never_load_numpy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(tmp_path / "cert.json")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert {n for home in EXPORTS.values() for n in home.split()} <= set(out["dir"])
     assert out["loaded"] == {
         "import": False, "dir": False, "certificate": False, "gen": False,
-        "normalize": False, "check": False, "bound": False, "verify_bound": True,
+        "normalize": False, "check": False, "bound": False, "wrap": False,
+        "run_suites": True,
     }
+
+
+# Runs in a fresh interpreter; prints the names a star import bound and
+# whether numpy is then loaded.
+STAR_IMPORT = """
+import json, sys
+before = {*globals(), "before"}
+from signschemes import *
+names = sorted(set(globals()) - before)
+print(json.dumps({"names": names, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_a_star_import_binds_every_public_name_lazy_ones_too():
+    proc = subprocess.run(
+        [sys.executable, "-c", STAR_IMPORT],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["names"] == sorted(signschemes.__all__)
+    assert {n for home in EXPORTS.values() for n in home.split()} <= set(out["names"])
+    assert set(SUBMODULES) <= set(out["names"])
+    assert out["numpy"]
 
 
 @pytest.mark.parametrize(
@@ -120,9 +158,6 @@ def test_unknown_names_raise_attribute_error():
 
 
 def test_a_wrapper_set_before_any_suite_ran_is_what_run_suites_calls(monkeypatch):
-    # unbind the suites' names, as in a process where no suite has run yet
-    for name in cli._ORACLE_NAMES:
-        monkeypatch.delattr(cli, name)
     calls = []
 
     def fake(n, budget, seed):
@@ -136,4 +171,3 @@ def test_a_wrapper_set_before_any_suite_ran_is_what_run_suites_calls(monkeypatch
     ]
     assert calls == [(1, 10, 0), (2, 10, 0)]
     assert cli.verify_bound is fake
-    assert cli.bound_cap is oracle.bound_cap

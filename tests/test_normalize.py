@@ -11,16 +11,20 @@ from signschemes import (
     MINUS,
     PLUS,
     Certificate,
+    CheckReport,
     DimensionError,
     DomainError,
     Move,
     all_sign_vectors,
     build_certificate,
+    certificate_to_json,
     certificate_to_obj,
     check_certificate,
     generate_scheme,
+    is_reference,
     reference_sign,
     render_trace,
+    report_to_json,
     trace_build,
     trace_to_obj,
     wrong_set,
@@ -34,6 +38,30 @@ from signschemes.normalize import (
 )
 
 TEST_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+_TRACE_3 = trace_build((1, 1, 1))
+
+# Each raised a bare TypeError, KeyError or AttributeError, or returned.
+WRONG_TYPED_CALLS = {
+    "report_to_json(5)": lambda: report_to_json(5),
+    "report_to_json(CheckReport)": lambda: report_to_json(CheckReport),
+    "render_trace(eps, longer trace)": lambda: render_trace((1, 1), _TRACE_3),
+    "render_trace(eps, [1, 2])": lambda: render_trace((1, 1), [1, 2]),
+    "render_trace(eps, 5)": lambda: render_trace((1, 1), 5),
+    "trace_to_obj(eps, [1])": lambda: trace_to_obj((1, 1), [1]),
+    "trace_to_obj(eps, longer trace)": lambda: trace_to_obj((1, 1), _TRACE_3),
+    "wrong_set(((1,),))": lambda: wrong_set(((1,),)),
+    "is_reference(5)": lambda: is_reference(5),
+    "certificate_to_json(5)": lambda: certificate_to_json(5),
+    "certificate_to_obj(5)": lambda: certificate_to_obj(5),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPED_CALLS.values(), ids=WRONG_TYPED_CALLS)
+def test_wrong_typed_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 sign_vectors = st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=10).map(
     tuple

@@ -21,7 +21,7 @@ from signschemes import (
     verify_inequalities,
     verify_monotonicity,
 )
-from signschemes import evaluate, oracle
+from signschemes import Certificate, Move, evaluate, oracle
 
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 8), (10, 32)])
@@ -327,6 +327,39 @@ def test_monotonicity_clean_run():
     assert rep.violations == ()
     assert rep.certificates == 14
     assert rep.moves_checked > 0
+
+
+def _corrupt_n3_certificates(monkeypatch):
+    # each n = 3 certificate with moves repeats its first move, which no
+    # longer finds its pattern; the empty one gets a move off the triangle
+    build = oracle.build_certificate
+
+    def corrupt(eps):
+        cert = build(eps)
+        if len(eps) != 3:
+            return cert
+        moves = cert.moves[:1] + cert.moves if cert.moves else (Move.point(4, 4),)
+        return Certificate(eps, moves)
+
+    monkeypatch.setattr(oracle, "build_certificate", corrupt)
+
+
+def test_monotonicity_reports_a_move_that_cannot_be_applied(monkeypatch):
+    clean = verify_monotonicity(2, samples_per_move=5)
+    _corrupt_n3_certificates(monkeypatch)
+    rep = verify_monotonicity(3, samples_per_move=5)
+    assert rep.certificates == 14
+    # the first move of seven certificates replays, nothing else at n = 3
+    assert rep.moves_checked == clean.moves_checked + 7
+    assert len(rep.violations) == 8
+    assert "certificate for (1, 1, 1): Point(1;1) requires '+' at (1, 1), found '-'" in (
+        rep.violations
+    )
+    assert (
+        "certificate for (-1, -1, -1): position (4, 4) outside triangle of size 3"
+        in rep.violations
+    )
+    assert not any("does not reach the target" in v for v in rep.violations)
 
 
 def test_monotonicity_guard(monkeypatch):
