@@ -21,11 +21,12 @@ draw and two grouped eval_f_batch calls per run, not per certificate.
 The draws are the same numbers as one draw per move, so the reports do
 not depend on how the moves are grouped.
 
-The other sampled sweeps hold one block at a time. verify_inequalities
-and verify_bound's random phase draw CHUNK rows per block, the batch
-kernel's own block: numpy fills rows in order, so these are the same
-numbers as one draw of every row. grid_max walks blocks of at most
-_BATCH points. Only verify_bound's ascent starts are held whole.
+The other sweeps hold one block at a time, of at most CHUNK rows, the
+batch kernel's own block. verify_inequalities and verify_bound's random
+phase draw CHUNK rows per block: numpy fills rows in order, so these are
+the same numbers as one draw of every row. verify_bound's random phase
+and grid_max (in lexicographic order) each write their blocks into one
+reused buffer. Only verify_bound's ascent starts are held whole.
 
 Every suite refuses, before it starts, a run whose estimated work is
 over its cap (_check_cap, ResourceLimitError): identity squares, grid
@@ -78,8 +79,8 @@ from .schemes import (
     is_reference,
 )
 
-# Points per grid_max block; also the random-phase term of bound_cap's
-# rule (verify_bound itself draws CHUNK rows per block).
+# The random-phase term of bound_cap's rule (verify_bound itself draws
+# CHUNK rows per block).
 _BATCH = 250_000
 _GRID_POINT_CAP = 40_000_000
 # Floats a sampled suite may draw, by its *_cap rule: all the points of
@@ -165,8 +166,10 @@ def _sweep(blocks, bound: int, where: str):
     """Best value and point over the blocks, and the points within 1e-12 of bound.
 
     Holds one block at a time: each block and its values are released
-    before the next is made. The best point is the first one to reach the
-    best value, as in one sweep of all the blocks' rows.
+    before the next is made, and a block may be one buffer that the next
+    overwrites, since points are copied out as tuples. The best point is
+    the first one to reach the best value, as in one sweep of all the
+    blocks' rows.
     """
     best_value, best_point, near = -math.inf, (), []
     for X in blocks:
@@ -225,6 +228,22 @@ class MaxReport:
         )
 
 
+def _uniform_blocks(rng: np.random.Generator, rows: int, n: int):
+    """rows uniform points of [-1, 1]^n, CHUNK rows per block.
+
+    Every block is a view of one buffer. rng.uniform(-1, 1) is -1 + 2r
+    for r = rng.random(), so these are the same numbers, in the same
+    order, as one rng.uniform draw of every row.
+    """
+    buf = np.empty((min(CHUNK, rows), n))
+    for s in range(0, rows, CHUNK):
+        X = buf[: min(CHUNK, rows - s)]
+        rng.random(out=X)
+        X *= 2.0
+        X -= 1.0
+        yield X
+
+
 def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     """Search for cube-product values above the proven bound.
 
@@ -235,9 +254,10 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     raises BoundViolationError; that cannot happen unless an evaluator
     is broken.
 
-    The random points are drawn and evaluated CHUNK rows at a time, the
-    same numbers as one draw, so memory holds one block of them; the
-    ascent then holds its starts, about budget / (40 n) points, whole.
+    The random points are drawn and evaluated CHUNK rows at a time into
+    one reused buffer (_uniform_blocks), the same numbers as one draw, so
+    memory holds one block of them; the ascent then holds its starts,
+    about budget / (40 n) points, whole.
     bound_cap's float rule limits the work of both phases.
     """
     budget = check_count("budget", budget)
@@ -255,11 +275,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     method = "vertex-enum"
     evaluations = len(candidates) + budget
     rng = _rng(seed)
-    blocks = (
-        rng.uniform(-1.0, 1.0, size=(min(CHUNK, budget - s), n))
-        for s in range(0, budget, CHUNK)
-    )
-    top, point, _ = _sweep(blocks, bound, "random")
+    top, point, _ = _sweep(_uniform_blocks(rng, budget, n), bound, "random")
     if top > best_value:
         best_value, best_point, method = top, point, "random"
 
@@ -305,13 +321,49 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     )
 
 
+def _grid_blocks(n: int, m: int):
+    """The points of the grid {k/m : -m <= k <= m}^n, in lexicographic order.
+
+    Each block is one value of the first n - t coordinates with K^t values
+    of the last t, for the largest t with K^t <= CHUNK (K = 2m + 1), or
+    t = 1 with the last axis cut into pieces of CHUNK points if K > CHUNK.
+    Every block is a view of one (<= CHUNK, n) buffer: the tail columns
+    are written once, or once per piece, and the head columns per head.
+    """
+    K = 2 * m + 1
+    t = 1
+    while t < n and K ** (t + 1) <= CHUNK:
+        t += 1
+    points = K**t
+    buf = np.empty((min(points, CHUNK), n))
+
+    def fill(s: int) -> np.ndarray:
+        """Write tail points s, s + 1, ... into the last t columns."""
+        idx = np.arange(s, min(s + CHUNK, points))
+        for c in range(t):
+            digit = idx // K ** (t - 1 - c) % K
+            np.divide(digit - m, m, out=buf[: len(idx), n - t + c])
+        return buf[: len(idx)]
+
+    pieces = range(0, points, CHUNK)
+    block = fill(0)  # the whole tail, when it is one piece
+    # K <= CHUNK whenever there is a head: K^2 > CHUNK^2 is over the point cap
+    g = (np.arange(-m, m + 1) / m).tolist() if t < n else []
+    for head in itertools.product(g, repeat=n - t):
+        buf[:, : n - t] = head
+        for s in pieces:
+            yield block if len(pieces) == 1 else fill(s)
+
+
 def grid_max(n: int, step: float) -> MaxReport:
     """Exhaustive cube-product sweep over the uniform grid of pitch `step`.
 
     step must divide 1 evenly so that -1, 0 and 1 are grid points; then
     the known maximizers lie on the grid and the sweep must attain the
     bound exactly. Grid points attaining the bound outside the known
-    family are returned as findings, not failures.
+    family are returned as findings, not failures. The points go through
+    eval_q_batch in lexicographic blocks of at most CHUNK rows, written
+    into one reused buffer (_grid_blocks), so memory holds one block.
     """
     n = check_count("dimension", n, 1)
     check_positive("step", step)
@@ -324,27 +376,10 @@ def grid_max(n: int, step: float) -> MaxReport:
     m = round(1.0 / step) if step <= 1 else 0
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1 evenly")
-    K = 2 * m + 1
-    total = K**n
+    total = (2 * m + 1) ** n
     _check_cap(total, _GRID_POINT_CAP, f"grid would have {total} points")
     bound = qmax_bound(n)
-    if n == 1:
-        # pieces of at most _BATCH points, each made from its index range
-        blocks = (
-            (np.arange(s, min(s + _BATCH, K)) - m)[:, None] / m
-            for s in range(0, K, _BATCH)
-        )
-    else:
-        # lexicographic blocks: each value of the first n - t coordinates
-        # with the K^t values of the last t, the largest t <= n with K^t <= _BATCH
-        g = np.arange(-m, m + 1) / m
-        t = min(n, int(math.log(_BATCH, K)))
-        tail = g[np.indices((K,) * t).reshape(t, K**t).T]
-        blocks = (
-            np.hstack([np.broadcast_to(head, (K**t, n - t)), tail])
-            for head in itertools.product(g.tolist(), repeat=n - t)
-        )
-    best_value, best_point, near = _sweep(blocks, bound, "grid")
+    best_value, best_point, near = _sweep(_grid_blocks(n, m), bound, "grid")
     known = set(candidate_maximizers(n))
     findings = tuple(p for p in near if p not in known)
     return MaxReport(
@@ -561,7 +596,8 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
         for which, sides in INEQUALITY_SIDES.items():
             lhs, rhs = np.broadcast_arrays(*sides(x, y, z))
-            bad = np.nonzero(lhs > rhs + FACTOR_TOL)[0]
+            # written so that a NaN on either side counts as a violation
+            bad = np.nonzero(~(lhs <= rhs + FACTOR_TOL))[0]
             for idx in bad[: 10 - len(found[which])]:
                 found[which].append(
                     f"{which} fails at {tuple(pts[idx].tolist())}: "
@@ -570,7 +606,7 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
         residual = np.abs(quad_swap_residual(x, y, z))
         max_residual = float(np.max(residual, initial=max_residual))  # keeps a NaN
     violations = [v for msgs in found.values() for v in msgs]
-    if max_residual > FACTOR_TOL:
+    if not max_residual <= FACTOR_TOL:
         violations.append(f"quad_swap gap factorization off by {max_residual}")
     corner_checks = 0
     for cx, cy, cz in itertools.product((0, 1), repeat=3):

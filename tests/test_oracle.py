@@ -164,6 +164,27 @@ def test_perturbed_catalogue_fails_in_both_readers(monkeypatch):
     assert not any(v.startswith(("pair", "quad_swap")) for v in rep.violations)
 
 
+def test_nan_quad_swap_residual_is_a_violation(monkeypatch):
+    # NaN fails every comparison, so a residual test written as > passes it
+    monkeypatch.setattr(oracle, "quad_swap_residual", lambda x, y, z: x * np.nan)
+    rep = verify_inequalities(1_000, seed=0)
+    assert np.isnan(rep.max_residual)
+    assert rep.violations == ("quad_swap gap factorization off by nan",)
+
+
+def test_nan_inequality_side_is_a_violation(monkeypatch):
+    # NaN fails every comparison, so a side test written as > passes it
+    def pair_one_nan(x, y, z):
+        return x * np.nan, 1
+
+    monkeypatch.setitem(evaluate.INEQUALITY_SIDES, "pair_one", pair_one_nan)
+    rep = verify_inequalities(1_000, seed=0)
+    sampled = [v for v in rep.violations if v.startswith("pair_one fails at (0.")]
+    corners = [v for v in rep.violations if v.startswith("pair_one fails at corner")]
+    assert len(sampled) == 10 and all(v.endswith(": nan > 1.0") for v in sampled)
+    assert len(corners) == 8 and len(rep.violations) == 18
+
+
 def test_verify_bound_is_deterministic():
     a = verify_bound(3, budget=5_000, seed=11)
     b = verify_bound(3, budget=5_000, seed=11)
@@ -195,20 +216,20 @@ def test_grid_max_attains_bound(n, step, point):
 
 
 def test_grid_max_cuts_a_long_coordinate_into_batches(monkeypatch):
-    # step 1e-6 gives 2,000,001 points on one coordinate: nine blocks of
-    # at most _BATCH points, not one evaluation per point
+    # step 1e-6 gives 2,000,001 points on one coordinate: 245 blocks of
+    # at most CHUNK points, not one evaluation per point
     sizes = []
 
     def counting(X):
         sizes.append(len(X))
-        assert len(sizes) <= 9, "more blocks than 2,000,001 / _BATCH"
+        assert len(sizes) <= 245, "more blocks than 2,000,001 / CHUNK"
         return evaluate.eval_q_batch(X)
 
     monkeypatch.setattr(oracle, "eval_q_batch", counting)
     rep = grid_max(1, 1e-6)
-    assert len(sizes) == 9
-    assert max(sizes) == oracle._BATCH and sum(sizes) == 2_000_001
-    monkeypatch.setattr(oracle, "_BATCH", 2_000_001)
+    assert len(sizes) == 245
+    assert max(sizes) == oracle.CHUNK and sum(sizes) == 2_000_001
+    monkeypatch.setattr(oracle, "CHUNK", 2_000_001)
     sizes.clear()
     assert grid_max(1, 1e-6) == rep
     assert sizes == [2_000_001]

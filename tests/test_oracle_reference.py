@@ -377,10 +377,29 @@ def test_grid_findings_match_reference(monkeypatch):
     # With no known maximizers every attaining point is a finding, and
     # blocks of 25 points put them in different blocks.
     monkeypatch.setattr(oracle, "candidate_maximizers", lambda n: ())
-    monkeypatch.setattr(oracle, "_BATCH", 25)
+    monkeypatch.setattr(oracle, "CHUNK", 25)
     rep = grid_max(6, 0.5)
     assert len(rep.findings) == 4
     assert rep == _reference_grid_max(6, 0.5)
+
+
+@pytest.mark.parametrize(
+    "n,step", [(1, 1.0), (1, 2e-4), (2, 0.01), (3, 0.05), (4, 0.25), (5, 0.5), (7, 0.25)]
+)
+def test_grid_blocks_are_the_lexicographic_grid(monkeypatch, n, step):
+    # Each block is a view of one reused buffer, so the spy copies it.
+    blocks = []
+
+    def spy(X):
+        blocks.append(np.array(X))
+        return eval_q_batch(X)
+
+    monkeypatch.setattr(oracle, "eval_q_batch", spy)
+    grid_max(n, step)
+    m = round(1 / step)
+    g = [k / m for k in range(-m, m + 1)]
+    assert all(len(X) <= CHUNK for X in blocks)
+    assert np.array_equal(np.concatenate(blocks), list(itertools.product(g, repeat=n)))
 
 
 @pytest.mark.parametrize(
@@ -393,10 +412,32 @@ def test_verify_bound_matches_reference(n, budget):
     assert verify_bound(n, budget, seed=5) == _reference_verify_bound(n, budget, seed=5)
 
 
-@pytest.mark.parametrize("n", [3, 8])
-def test_verify_bound_evaluates_the_reference_points(monkeypatch, n):
+def _joined(batches):
+    """The (where, X bytes, values bytes) batches, each run of random
+    blocks joined into one: rows are contiguous, so the bytes of a
+    block's rows follow those of the block before."""
+    out = []
+    for where, X, vals in batches:
+        if out and out[-1][0] == where == "random":
+            out[-1] = (where, out[-1][1] + X, out[-1][2] + vals)
+        else:
+            out.append((where, X, vals))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,budget",
+    [
+        pytest.param(3, 4_000, id="3"),
+        pytest.param(8, 4_000, id="8"),
+        pytest.param(3, CHUNK + 5, id="3-CHUNK+5"),
+    ],
+)
+def test_verify_bound_evaluates_the_reference_points(monkeypatch, n, budget):
     # The candidates attain the bound, so a report never shows the
-    # ascent's points: compare every batch both searches evaluate.
+    # ascent's points: compare every batch both searches evaluate. The
+    # package draws its random points CHUNK rows at a time, the reference
+    # in one batch, so a budget over CHUNK compares them joined.
     seen = []
     top = oracle._top
 
@@ -405,35 +446,37 @@ def test_verify_bound_evaluates_the_reference_points(monkeypatch, n):
         return top(vals, X, bound, where)
 
     monkeypatch.setattr(oracle, "_top", spy)
-    verify_bound(n, 4_000, seed=5)
+    verify_bound(n, budget, seed=5)
     package = seen[:]
     seen.clear()
-    _reference_verify_bound(n, 4_000, seed=5)
-    assert package == seen
+    _reference_verify_bound(n, budget, seed=5)
+    assert _joined(package) == _joined(seen)
     assert len(seen) == 2 + 2 * oracle._ASCENT_ROUNDS * n
+    assert len(package) == len(seen) - 1 + -(-budget // CHUNK)
 
 
 def test_grid_memory_is_one_block():
-    # The whole grid is 9^7 points; one block is 9^5 points of 7 floats.
+    # The whole grid is 9^7 points; one block is 9^4 points of 7 floats,
+    # 0.35 MiB.
     tracemalloc.start()
     try:
         grid_max(7, 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_grid_axis_memory_is_one_block():
     # One coordinate at step 1e-6 has 2,000,001 points, 15.3 MiB of
-    # floats; a block of _BATCH points is 1.9 MiB.
+    # floats; a block of CHUNK points is 64 KiB.
     tracemalloc.start()
     try:
         grid_max(1, 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -665,6 +708,30 @@ def test_monotonicity_runs_hold_whole_certificates(monkeypatch):
     for (_, rows), a, b in zip(before, cuts, cuts[1:]):
         # more than _RUN_ROWS rows only for one certificate alone
         assert rows <= oracle._RUN_ROWS or ends.index(b) == ends.index(a) + 1
+
+
+def test_monotonicity_keeps_a_certificate_that_fills_a_run_exactly(monkeypatch):
+    # Runs of four moves at one sample per move. A run is checked only
+    # when the next certificate would not fit in it, so at n = 3 the
+    # certificates of 2 and 2 moves fill one run and share its calls.
+    monkeypatch.setattr(oracle, "_RUN_ROWS", 4)
+    sizes, calls = _spy_on_runs(monkeypatch)
+    rep = verify_monotonicity(4, samples_per_move=1)
+    assert rep.violations == ()
+    runs, filled = [], 0
+    certificates = iter(sizes)
+    for n in range(1, 5):
+        run = 0
+        for moves in itertools.islice(certificates, 2**n):
+            if run + moves > 4:
+                runs.append(run)
+                run = 0
+            if run and run + moves == 4:
+                filled += 1
+            run += moves
+        runs.append(run)
+    assert filled > 0
+    assert calls == [(r, r) for r in runs if r for _ in range(2)]
 
 
 def test_monotonicity_memory_is_one_run():
