@@ -9,7 +9,6 @@ from signschemes import (
     check_certificate,
     generate_scheme,
     render_trace,
-    trace_build,
 )
 
 EPS = (1, -1, 1, 1, -1, 1, 1)
@@ -22,7 +21,7 @@ def main() -> int:
     print(generate_scheme(EPS).render())
     print()
     print("normalization trace:")
-    print(render_trace(EPS, trace_build(EPS)))
+    print(render_trace(EPS))
     print()
     cert = build_certificate(EPS)
     print("certificate JSON:")

@@ -31,18 +31,12 @@ from .errors import (
     TriangleIndexError,
     check_count,
 )
-from .moves import (
-    Certificate,
-    certificate_from_json,
-    certificate_to_json,
-    certificate_to_obj,
-)
+from .moves import certificate_from_json, certificate_to_json, certificate_to_obj
 from .normalize import (
     build_certificate,
     check_certificate,
     render_trace,
     report_to_json,
-    trace_build,
     trace_to_obj,
 )
 from .schemes import format_signs, generate_scheme, parse_signs
@@ -104,21 +98,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_normalize(args) -> int:
     eps = parse_signs(args.signs)
-    steps = trace_build(eps) if args.trace else None
-    # a trace's closing level step carries the full certificate
-    cert = build_certificate(eps) if steps is None else Certificate(eps, steps[-1].moves)
-    if args.json:
-        if steps is not None:
-            obj = {
-                "certificate": certificate_to_obj(cert),
-                "trace": trace_to_obj(eps, steps)["steps"],
-            }
-            print(json.dumps(obj, separators=(",", ":")))
-        else:
-            print(certificate_to_json(cert))
+    if args.trace and not args.json:
+        print(render_trace(eps))
         return 0
-    if steps is not None:
-        print(render_trace(eps, steps))
+    cert = build_certificate(eps)
+    if args.trace:
+        obj = {
+            "certificate": certificate_to_obj(cert),
+            "trace": trace_to_obj(eps)["steps"],
+        }
+        print(json.dumps(obj, separators=(",", ":")))
+    elif args.json:
+        print(certificate_to_json(cert))
     elif cert.moves:
         for m in cert.moves:
             print(m)

@@ -51,6 +51,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import AlgorithmInvariantError, DimensionError, DomainError
 from .moves import HORIZONTAL, POINT, SQUARE, VERTICAL, Certificate, Move, rows_mismatch
@@ -357,21 +359,18 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
     )
 
 
-def render_trace(eps, steps) -> str:
-    """Plain-text trace: per column, the already-built part of the scheme
-    beside the original column, with the scanned wrong '-' rows bracketed,
-    then the move list at that stage.
+def render_trace(eps) -> str:
+    """Plain-text trace of trace_build(eps): per column, the already-built
+    part of the scheme beside the original column, with the scanned wrong
+    '-' rows bracketed, then the move list at that stage.
     """
     eps = as_sign_vector(eps)
-    n = len(eps)
-    by_level: dict[int, list[TraceStep]] = {k: [] for k in range(1, n + 1)}
-    for s in _trace_steps(steps, n):
-        by_level[s.level].append(s)
     # column j of every rendered row sits at character 2(j-1)
     rendered = generate_scheme(eps).render().split("\n")
     lines: list[str] = []
-    for k in range(1, n + 1):
-        level_steps = by_level[k]
+    # steps come in level order, and each level closes with an OP_LEVEL step
+    for k, level in groupby(trace_build(eps), key=attrgetter("level")):
+        level_steps = list(level)
         marks = {
             s.flipped[0][0]
             for s in level_steps
@@ -383,27 +382,14 @@ def render_trace(eps, steps) -> str:
             cell = f"[{ch}]" if i in marks else f" {ch} "
             prefix = f"{row[:width]} |" if width else "|"
             lines.append((prefix + cell).rstrip())
-        moves = level_steps[-1].moves if level_steps else ()
+        moves = level_steps[-1].moves
         lines.append(f"L({k}) = {{{', '.join(str(m) for m in moves)}}}")
         lines.append("")
     return "\n".join(lines[:-1])
 
 
-def _trace_steps(steps, n: int) -> tuple[TraceStep, ...]:
-    """steps as a tuple, each a TraceStep of a level in 1..n, else DomainError."""
-    try:
-        steps = tuple(steps)
-    except TypeError:
-        raise DomainError(f"expected TraceStep steps, got {type(steps).__name__}") from None
-    for s in steps:
-        if not isinstance(s, TraceStep):
-            raise DomainError(f"expected TraceStep steps, got a step of {type(s).__name__}")
-        if s.level not in range(1, n + 1):
-            raise DomainError(f"trace step level {s.level!r} is outside 1..{n}")
-    return steps
-
-
-def trace_to_obj(eps, steps) -> dict:
+def trace_to_obj(eps) -> dict:
+    """trace_build(eps) as plain JSON-ready data: {"eps": [...], "steps": [...]}."""
     eps = as_sign_vector(eps)
     return {
         "eps": list(eps),
@@ -416,6 +402,6 @@ def trace_to_obj(eps, steps) -> dict:
                 "column": list(s.column),
                 "moves": [m.to_obj() for m in s.moves],
             }
-            for s in _trace_steps(steps, len(eps))
+            for s in trace_build(eps)
         ],
     }

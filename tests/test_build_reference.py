@@ -139,8 +139,27 @@ def _reference_trace(eps):
     return tuple(steps)
 
 
-def _trace_json(eps, steps):
-    return json.dumps(trace_to_obj(eps, steps), separators=(",", ":"))
+def _reference_trace_json(eps, steps):
+    # the trace JSON format, written out here rather than by trace_to_obj
+    obj = {
+        "eps": list(eps),
+        "steps": [
+            {
+                "level": s.level,
+                "op": s.op,
+                "action": s.action,
+                "flipped": [list(p) for p in s.flipped],
+                "column": list(s.column),
+                "moves": [m.to_obj() for m in s.moves],
+            }
+            for s in steps
+        ],
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _trace_json(eps):
+    return json.dumps(trace_to_obj(eps), separators=(",", ":"))
 
 
 def _random_vectors(n, count, seed):
@@ -149,8 +168,8 @@ def _random_vectors(n, count, seed):
 
 
 def test_matches_reference_for_every_vector_up_to_twelve():
-    # Equal steps serialize to equal trace JSON; the JSON itself is
-    # compared up to n=8, where it is cheap.
+    # The trace JSON is compared with the reference steps' JSON up to
+    # n=8, where it is cheap.
     checked = 0
     for n in range(1, 13):
         for eps in all_sign_vectors(n):
@@ -158,7 +177,7 @@ def test_matches_reference_for_every_vector_up_to_twelve():
             ref_steps = _reference_trace(eps)
             assert steps == ref_steps, eps
             if n <= 8:
-                assert _trace_json(eps, steps) == _trace_json(eps, ref_steps)
+                assert _trace_json(eps) == _reference_trace_json(eps, ref_steps)
             assert certificate_to_json(build_certificate(eps)) == certificate_to_json(
                 Certificate(eps, ref_steps[-1].moves)
             ), eps
@@ -187,10 +206,9 @@ def test_certificates_match_reference_on_mid_size_vectors():
 
 def test_traces_match_reference_on_random_vectors():
     for eps in _random_vectors(64, 3, seed=640):
-        assert _trace_json(eps, trace_build(eps)) == _trace_json(
-            eps, _reference_trace(eps)
-        ), eps
-    # Equal steps serialize to equal trace JSON, so at n=128 comparing the
-    # steps field by field is the same check, without the serialization.
+        ref_steps = _reference_trace(eps)
+        assert trace_build(eps) == ref_steps, eps
+        assert _trace_json(eps) == _reference_trace_json(eps, ref_steps), eps
+    # at n=128 the steps alone are compared, without the serialization
     (eps,) = _random_vectors(128, 1, seed=1280)
     assert trace_build(eps) == _reference_trace(eps)

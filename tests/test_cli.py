@@ -21,7 +21,6 @@ from signschemes.normalize import (
     build_certificate,
     check_certificate,
     render_trace,
-    trace_build,
 )
 from signschemes.oracle import report_to_json
 
@@ -107,20 +106,7 @@ class TestNormalize:
     def test_trace_matches_library_renderer(self, capsys):
         code, out, _ = run(capsys, "normalize", WORKED, "--trace")
         assert code == 0
-        eps = (1, -1, 1, 1, -1, 1, 1)
-        assert out == render_trace(eps, trace_build(eps)) + "\n"
-
-    def test_trace_json_runs_the_builder_once(self, capsys, monkeypatch):
-        def no_build(eps):
-            raise AssertionError("the trace already holds the certificate")
-
-        monkeypatch.setattr(cli, "build_certificate", no_build)
-        code, out, _ = run(capsys, "normalize", WORKED, "--trace", "--json")
-        assert code == 0
-        assert json.loads(out)["certificate"] == json.loads(WORKED_JSON)
-        code, out, _ = run(capsys, "normalize", WORKED, "--trace")
-        assert code == 0
-        assert out == render_trace(WORKED_EPS, trace_build(WORKED_EPS)) + "\n"
+        assert out == render_trace(WORKED_EPS) + "\n"
 
     def test_trace_json_shape(self, capsys):
         code, out, _ = run(capsys, "normalize", WORKED, "--trace", "--json")

@@ -40,17 +40,12 @@ from signschemes.normalize import (
 TEST_SETTINGS = settings(max_examples=150, deadline=None)
 
 
-_TRACE_3 = trace_build((1, 1, 1))
-
 # Each raised a bare TypeError, KeyError or AttributeError, or returned.
 WRONG_TYPED_CALLS = {
     "report_to_json(5)": lambda: report_to_json(5),
     "report_to_json(CheckReport)": lambda: report_to_json(CheckReport),
-    "render_trace(eps, longer trace)": lambda: render_trace((1, 1), _TRACE_3),
-    "render_trace(eps, [1, 2])": lambda: render_trace((1, 1), [1, 2]),
-    "render_trace(eps, 5)": lambda: render_trace((1, 1), 5),
-    "trace_to_obj(eps, [1])": lambda: trace_to_obj((1, 1), [1]),
-    "trace_to_obj(eps, longer trace)": lambda: trace_to_obj((1, 1), _TRACE_3),
+    "render_trace(5)": lambda: render_trace(5),
+    "trace_to_obj([0])": lambda: trace_to_obj([0]),
     "wrong_set(((1,),))": lambda: wrong_set(((1,),)),
     "is_reference(5)": lambda: is_reference(5),
     "certificate_to_json(5)": lambda: certificate_to_json(5),
@@ -183,16 +178,24 @@ def test_trace_single_minus_is_one_level_step():
 
 
 def test_render_trace_golden():
-    assert render_trace(WORKED, trace_build(WORKED)) == GOLDEN_TRACE
+    assert render_trace(WORKED) == GOLDEN_TRACE
+
+
+def test_render_trace_shows_its_own_vectors_construction():
+    # the trace is built from the vector rendered, so no other vector's
+    # moves (Vertical(1,2;2) is (-1, 1, -1)'s) can appear under its columns
+    lines = render_trace((1, 1, 1)).split("\n")
+    assert "L(1) = {Point(1;1)}" in lines
+    assert "L(3) = {Point(1;1), Point(2;2), Point(1;3), Point(3;3)}" in lines
+    assert not any("Vertical" in line for line in lines)
 
 
 def test_trace_json_structure():
-    steps = trace_build(WORKED)
-    obj = json.loads(json.dumps(trace_to_obj(WORKED, steps)))
+    obj = json.loads(json.dumps(trace_to_obj(WORKED)))
     assert obj["eps"] == list(WORKED)
     assert obj["steps"][-1]["op"] == OP_LEVEL
     assert len(obj["steps"][-1]["moves"]) == len(WORKED_MOVES)
-    assert trace_to_obj(WORKED, steps)["steps"][0]["level"] == 1
+    assert obj["steps"][0]["level"] == 1
 
 
 def test_trace_lists_moves_only_on_level_steps():
@@ -202,7 +205,7 @@ def test_trace_lists_moves_only_on_level_steps():
     assert all(s.moves == () for s in steps if s.op != OP_LEVEL)
     assert _level_lists(steps)[64] == build_certificate(eps).moves
     # O(n^2) bytes; a move list on every step would make it O(n^3), 4.3 MB
-    text = json.dumps(trace_to_obj(eps, steps), separators=(",", ":"))
+    text = json.dumps(trace_to_obj(eps), separators=(",", ":"))
     assert len(text) < 600_000
 
 
