@@ -4,7 +4,8 @@ Everything here re-derives facts the library's algebra already implies:
 the cube-product maximum and its attaining points, the algebraic
 identities of generated schemes, the four factor inequalities, and the
 monotonicity of rewrite moves along built certificates. The point is
-independence: these routines only use the evaluators and enumerate or
+independence: these routines only use the evaluators, or running
+products of their own (the identity and grid sweeps), and enumerate or
 sample, so they would catch a bug in the clever parts.
 
 The identity sweep works on blocks of sign vectors at once: it builds
@@ -27,6 +28,11 @@ phase draw CHUNK rows per block: numpy fills rows in order, so these are
 the same numbers as one draw of every row. verify_bound's random phase
 and grid_max (in lexicographic order) each write their blocks into one
 reused buffer. Only verify_bound's ascent starts are held whole.
+
+grid_max's blocks share their last t coordinates, so it holds one block
+plus the t(t + 1)/2 <= 36 factor rows, of <= CHUNK floats, of that
+shared tail, computed once per sweep. It evaluates each block from those
+rows and its first coordinates' floats, bit-identical to eval_q_batch.
 
 Every suite refuses, before it starts, a run whose estimated work is
 over its cap (_check_cap, ResourceLimitError): identity squares, grid
@@ -163,17 +169,18 @@ def _top(vals, X, bound, where: str) -> tuple[int, float]:
 
 
 def _sweep(blocks, bound: int, where: str):
-    """Best value and point over the blocks, and the points within 1e-12 of bound.
+    """Best value and point over the (X, vals) blocks, and the points within
+    1e-12 of bound.
 
     Holds one block at a time: each block and its values are released
-    before the next is made, and a block may be one buffer that the next
-    overwrites, since points are copied out as tuples. The best point is
-    the first one to reach the best value, as in one sweep of all the
-    blocks' rows.
+    before the next is made, and X and vals may be buffers that the next
+    block overwrites, since points are copied out as tuples. (The grid's
+    blocks also hold their shared tail's factors for the whole sweep;
+    see _grid_blocks.) The best point is the first one to reach the best
+    value, as in one sweep of all the blocks' rows.
     """
     best_value, best_point, near = -math.inf, (), []
-    for X in blocks:
-        vals = eval_q_batch(X)
+    for X, vals in blocks:
         idx, top = _top(vals, X, bound, where)
         if top > best_value:
             best_value, best_point = top, tuple(X[idx].tolist())
@@ -275,7 +282,8 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     method = "vertex-enum"
     evaluations = len(candidates) + budget
     rng = _rng(seed)
-    top, point, _ = _sweep(_uniform_blocks(rng, budget, n), bound, "random")
+    blocks = ((X, eval_q_batch(X)) for X in _uniform_blocks(rng, budget, n))
+    top, point, _ = _sweep(blocks, bound, "random")
     if top > best_value:
         best_value, best_point, method = top, point, "random"
 
@@ -321,38 +329,96 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     )
 
 
-def _grid_blocks(n: int, m: int):
-    """The points of the grid {k/m : -m <= k <= m}^n, in lexicographic order.
+def _tail_factors(T: np.ndarray, p: np.ndarray, f: np.ndarray):
+    """The factors 1 - x_i ... x_j (i <= j) of the contiguous columns T.
 
-    Each block is one value of the first n - t coordinates with K^t values
-    of the last t, for the largest t with K^t <= CHUNK (K = 2m + 1), or
-    t = 1 with the last axis cut into pieces of CHUNK points if K > CHUNK.
-    Every block is a view of one (<= CHUNK, n) buffer: the tail columns
-    are written once, or once per piece, and the head columns per head.
+    They come row by row, in _product_batch's order, each written into f
+    and computed as that kernel does, with the running product in p.
+    """
+    for i, x in enumerate(T):
+        np.copyto(p, x)
+        for j in range(i, len(T)):
+            if j > i:
+                np.multiply(p, T[j], out=p)
+            np.subtract(1.0, p, out=f)
+            yield f
+
+
+def _block_values(head, T, tail, p, f, vals) -> np.ndarray:
+    """The cube product at every point of a grid block, into vals.
+
+    The block's points share the first h coordinates, head (floats), and
+    take their last t from the columns T; tail gives the factors of the
+    tail rows (h <= i <= j) in row-major order. A factor of the head alone
+    is one float, and the running product of a mixed factor (i < h <= j)
+    starts from the head's float. Every factor goes into the total in
+    _product_batch's order through the same IEEE operations, so the values
+    are bit-identical to eval_q_batch on the block's points.
+    """
+    total = 1.0  # a float until the first mixed factor, then vals
+    for i in range(len(head)):
+        q = 1.0
+        for j in range(i, len(head)):
+            q *= head[j]
+            total *= 1.0 - q
+        for j, x in enumerate(T):
+            np.multiply(p if j else q, x, out=p)
+            np.subtract(1.0, p, out=f)
+            total = np.multiply(total, f, out=vals)
+    for factor in tail:
+        total = np.multiply(total, factor, out=vals)
+    return total
+
+
+def _grid_blocks(n: int, m: int):
+    """(X, vals) for the grid {k/m : -m <= k <= m}^n in lexicographic order.
+
+    Each block X is one value of the first h = n - t coordinates, its
+    head, with K^t values of the last t, its tail, for the largest t with
+    K^t <= CHUNK (K = 2m + 1), or t = 1 with the last axis cut into pieces
+    of CHUNK points if K > CHUNK. vals holds the cube product at X's
+    points, bit-identical to eval_q_batch(X) (_block_values). Every X is a
+    view of one (<= CHUNK, n) buffer and every vals of one array: the tail
+    columns are written once, or once per piece, and the head columns per
+    head. When the blocks share one tail, its factors are computed once
+    per sweep, t(t + 1)/2 <= 36 rows of K^t <= CHUNK floats, so the sweep
+    holds one block plus those rows. With no head, or with pieces, a
+    block's tail factors are computed as they are used, and none are kept.
     """
     K = 2 * m + 1
     t = 1
     while t < n and K ** (t + 1) <= CHUNK:
         t += 1
-    points = K**t
-    buf = np.empty((min(points, CHUNK), n))
+    h, points = n - t, K**t
+    rows = min(points, CHUNK)
+    # column-major, so T, the (t, rows) view of the tail columns, is contiguous
+    buf = np.empty((rows, n), order="F")
+    T = buf[:, h:].T
+    p, f, vals = np.empty(rows), np.empty(rows), np.empty(rows)
 
-    def fill(s: int) -> np.ndarray:
-        """Write tail points s, s + 1, ... into the last t columns."""
+    def fill(s: int) -> int:
+        """Write tail points s, s + 1, ... into T; return how many."""
         idx = np.arange(s, min(s + CHUNK, points))
-        for c in range(t):
-            digit = idx // K ** (t - 1 - c) % K
-            np.divide(digit - m, m, out=buf[: len(idx), n - t + c])
-        return buf[: len(idx)]
+        for c, col in enumerate(T):
+            np.divide(idx // K ** (t - 1 - c) % K - m, m, out=col[: len(idx)])
+        return len(idx)
 
     pieces = range(0, points, CHUNK)
-    block = fill(0)  # the whole tail, when it is one piece
-    # K <= CHUNK whenever there is a head: K^2 > CHUNK^2 is over the point cap
-    g = (np.arange(-m, m + 1) / m).tolist() if t < n else []
-    for head in itertools.product(g, repeat=n - t):
-        buf[:, : n - t] = head
+    k = fill(0)  # the whole tail, when it is one piece
+    shared = None
+    if h and len(pieces) == 1:
+        shared = np.empty((t * (t + 1) // 2, points))
+        for row, factor in zip(shared, _tail_factors(T, p, f)):
+            row[:] = factor
+    g = (np.arange(-m, m + 1) / m).tolist() if h else []
+    for head in itertools.product(g, repeat=h):
+        buf[:, :h] = head
         for s in pieces:
-            yield block if len(pieces) == 1 else fill(s)
+            if len(pieces) > 1:
+                k = fill(s)
+            Tk, pk, fk = T[:, :k], p[:k], f[:k]
+            tail = _tail_factors(Tk, pk, fk) if shared is None else shared
+            yield buf[:k], _block_values(head, Tk, tail, pk, fk, vals[:k])
 
 
 def grid_max(n: int, step: float) -> MaxReport:
@@ -361,9 +427,11 @@ def grid_max(n: int, step: float) -> MaxReport:
     step must divide 1 evenly so that -1, 0 and 1 are grid points; then
     the known maximizers lie on the grid and the sweep must attain the
     bound exactly. Grid points attaining the bound outside the known
-    family are returned as findings, not failures. The points go through
-    eval_q_batch in lexicographic blocks of at most CHUNK rows, written
-    into one reused buffer (_grid_blocks), so memory holds one block.
+    family are returned as findings, not failures. The points go in
+    lexicographic blocks of at most CHUNK rows, written into one reused
+    buffer and evaluated from their shared tail's factors (_grid_blocks),
+    bit-identical to eval_q_batch; memory holds one block plus the tail's
+    factors, at most t(t + 1)/2 <= 36 rows of <= CHUNK floats.
     """
     n = check_count("dimension", n, 1)
     check_positive("step", step)

@@ -122,8 +122,16 @@ def test_verify_bound_flags_nan_evaluator(monkeypatch):
     assert "np.float64" not in str(exc.value)
 
 
+def _each_grid_block(monkeypatch, each):
+    """Pass every grid block's (X, vals) through each on its way to the sweep."""
+    blocks = oracle._grid_blocks
+    monkeypatch.setattr(
+        oracle, "_grid_blocks", lambda n, m: (each(*b) for b in blocks(n, m))
+    )
+
+
 def test_grid_max_flags_nan_evaluator(monkeypatch):
-    monkeypatch.setattr(oracle, "eval_q_batch", _nan_batch)
+    _each_grid_block(monkeypatch, lambda X, vals: (X, _nan_batch(X)))
     with pytest.raises(BoundViolationError, match=r"grid point \(-1\.0, ") as exc:
         grid_max(3, 0.5)
     assert "np.float64" not in str(exc.value)
@@ -220,12 +228,12 @@ def test_grid_max_cuts_a_long_coordinate_into_batches(monkeypatch):
     # at most CHUNK points, not one evaluation per point
     sizes = []
 
-    def counting(X):
+    def counting(X, vals):
         sizes.append(len(X))
         assert len(sizes) <= 245, "more blocks than 2,000,001 / CHUNK"
-        return evaluate.eval_q_batch(X)
+        return X, vals
 
-    monkeypatch.setattr(oracle, "eval_q_batch", counting)
+    _each_grid_block(monkeypatch, counting)
     rep = grid_max(1, 1e-6)
     assert len(sizes) == 245
     assert max(sizes) == oracle.CHUNK and sum(sizes) == 2_000_001

@@ -11,7 +11,9 @@ searches with their own block loops: the grid built whole from a
 meshgrid of its last n - 1 coordinates, one block per first coordinate,
 and the random phase as a countdown of batches. The package feeds both
 through one bounded sweep; the reports must be equal, points, findings
-and evaluation counts included.
+and evaluation counts included. The package evaluates each grid block
+from its shared tail's factors; every block's values must equal
+eval_q_batch's on its points byte for byte.
 
 _reference_verify_inequalities is verify_inequalities with all its
 points in one array. The package draws them in blocks of CHUNK rows;
@@ -383,19 +385,32 @@ def test_grid_findings_match_reference(monkeypatch):
     assert rep == _reference_grid_max(6, 0.5)
 
 
-@pytest.mark.parametrize(
-    "n,step", [(1, 1.0), (1, 2e-4), (2, 0.01), (3, 0.05), (4, 0.25), (5, 0.5), (7, 0.25)]
-)
-def test_grid_blocks_are_the_lexicographic_grid(monkeypatch, n, step):
-    # Each block is a view of one reused buffer, so the spy copies it.
-    blocks = []
+def _grid_block_copies(monkeypatch, n, step):
+    """The (X, vals bytes) of every block grid_max(n, step) sweeps.
 
-    def spy(X):
-        blocks.append(np.array(X))
-        return eval_q_batch(X)
+    Each block is a view of reused buffers, so the spy copies it.
+    """
+    copies = []
+    grid_blocks = oracle._grid_blocks
 
-    monkeypatch.setattr(oracle, "eval_q_batch", spy)
+    def spy(n, m):
+        for X, vals in grid_blocks(n, m):
+            copies.append((np.array(X), vals.tobytes()))
+            yield X, vals
+
+    monkeypatch.setattr(oracle, "_grid_blocks", spy)
     grid_max(n, step)
+    return copies
+
+
+GRID_BLOCK_CASES = [
+    (1, 1.0), (1, 2e-4), (2, 0.01), (3, 0.05), (4, 0.25), (5, 0.5), (7, 0.25)
+]
+
+
+@pytest.mark.parametrize("n,step", GRID_BLOCK_CASES)
+def test_grid_blocks_are_the_lexicographic_grid(monkeypatch, n, step):
+    blocks = [X for X, _ in _grid_block_copies(monkeypatch, n, step)]
     m = round(1 / step)
     g = [k / m for k in range(-m, m + 1)]
     assert all(len(X) <= CHUNK for X in blocks)
@@ -455,6 +470,22 @@ def test_verify_bound_evaluates_the_reference_points(monkeypatch, n, budget):
     assert len(package) == len(seen) - 1 + -(-budget // CHUNK)
 
 
+@pytest.mark.parametrize(
+    "n,step,chunk",
+    [(n, step, CHUNK) for n, step in GRID_BLOCK_CASES]
+    # four head coordinates; blocks of 25 points leave a tail of two
+    + [(12, 1.0, CHUNK), (6, 0.5, 25)],
+)
+def test_grid_block_values_are_eval_q_batch(monkeypatch, n, step, chunk):
+    # Each block's values come from its shared tail's factors and its
+    # head's floats; they must be the batch kernel's to the byte.
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    copies = _grid_block_copies(monkeypatch, n, step)
+    assert sum(len(X) for X, _ in copies) == round(2 / step + 1) ** n
+    for X, vals in copies:
+        assert eval_q_batch(X).tobytes() == vals
+
+
 def test_grid_memory_is_one_block():
     # The whole grid is 9^7 points; one block is 9^4 points of 7 floats,
     # 0.35 MiB.
@@ -477,6 +508,19 @@ def test_grid_axis_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_grid_memory_is_one_block_and_its_tail_factors():
+    # One block of 12 floats per point is 0.6 MiB, and the largest tail,
+    # 3^8 points, has 36 factor rows of 6,561 floats, 1.8 MiB; the whole
+    # grid is 3^12 points.
+    tracemalloc.start()
+    try:
+        grid_max(12, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize(
