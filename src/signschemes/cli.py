@@ -152,37 +152,38 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _runs(suite: str, n_max: int, samples: int):
+    """(name, cap rule, suite function, size arguments) per run of suite."""
+    from . import oracle
+
+    if suite in ("lemmas", "all"):
+        yield "identities", oracle.identities_cap, verify_identities, (n_max,)
+        yield "inequalities", oracle.inequalities_cap, verify_inequalities, (samples,)
+    if suite in ("monotonicity", "all"):
+        mono = (min(n_max, oracle.MONOTONICITY_N_MAX), max(10, samples // 100))
+        yield "monotonicity", oracle.monotonicity_cap, verify_monotonicity, mono
+    if suite in ("bound", "all"):
+        for n in range(1, n_max + 1):
+            yield f"bound n={n}", oracle.bound_cap, verify_bound, (n, samples)
+
+
 def run_suites(suite: str, n_max: int, samples: int, seed: int):
     """Yield (name, report) per run of suite (one of SUITES, or "all").
 
     lemmas: identities up to n_max, inequalities on samples points.
     monotonicity: to min(n_max, MONOTONICITY_N_MAX), max(10, samples // 100) per move.
     bound: one report per dimension up to n_max, budget samples each.
-    Every run's cap is checked before the first run starts.
+    Every run's cap is checked before the first run starts, stopping at
+    the first refusal; the runs are generated once to check and once to
+    run, so none are held.
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
-    from . import oracle
-
     n_max = check_count("n_max", n_max, 1)
     samples = check_count("samples", samples)
-    runs = []  # (name, cap rule, suite function, size arguments)
-    if suite in ("lemmas", "all"):
-        runs.append(("identities", oracle.identities_cap, verify_identities, (n_max,)))
-        runs.append(
-            ("inequalities", oracle.inequalities_cap, verify_inequalities, (samples,))
-        )
-    if suite in ("monotonicity", "all"):
-        mono = (min(n_max, oracle.MONOTONICITY_N_MAX), max(10, samples // 100))
-        runs.append(("monotonicity", oracle.monotonicity_cap, verify_monotonicity, mono))
-    if suite in ("bound", "all"):
-        runs += [
-            (f"bound n={n}", oracle.bound_cap, verify_bound, (n, samples))
-            for n in range(1, n_max + 1)
-        ]
-    for _, cap, _, args in runs:
+    for _, cap, _, args in _runs(suite, n_max, samples):
         cap(*args)
-    for name, _, suite_fn, args in runs:
+    for name, _, suite_fn, args in _runs(suite, n_max, samples):
         yield name, suite_fn(*args, seed=seed)
 
 

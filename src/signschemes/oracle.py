@@ -24,15 +24,17 @@ not depend on how the moves are grouped.
 
 The other sweeps hold one block at a time, of at most CHUNK rows, the
 batch kernel's own block. verify_inequalities and verify_bound's random
-phase draw CHUNK rows per block: numpy fills rows in order, so these are
-the same numbers as one draw of every row. verify_bound's random phase
-and grid_max (in lexicographic order) each write their blocks into one
-reused buffer. Only verify_bound's ascent starts are held whole.
+phase both draw through _uniform_blocks, CHUNK rows per block into one
+reused buffer: numpy fills rows in order, so these are the same numbers
+as one draw of every row. grid_max writes its blocks, in lexicographic
+order, into one reused buffer too. Only verify_bound's ascent starts are
+held whole.
 
 grid_max's blocks share their last t coordinates, so it holds one block
-plus the t(t + 1)/2 <= 36 factor rows, of <= CHUNK floats, of that
-shared tail, computed once per sweep. It evaluates each block from those
-rows and its first coordinates' floats, bit-identical to eval_q_batch.
+plus the t(t + 1)/2 <= 36 factor rows, of <= CHUNK floats, of the
+current piece of that shared tail, written once per piece. It evaluates
+each block from those rows and its first coordinates' floats,
+bit-identical to eval_q_batch.
 
 Every suite refuses, before it starts, a run whose estimated work is
 over its cap (_check_cap, ResourceLimitError): identity squares, grid
@@ -121,11 +123,17 @@ def _check_cap(work: int, cap: int, what: str) -> None:
 
 
 def identities_cap(n_max: int) -> None:
-    work = sum(
-        (2**n if n <= _EXHAUSTIVE_N else _POOL) * math.comb(n, 4)
-        for n in range(1, n_max + 1)
-    )
-    what = f"verify_identities({n_max}) would check {work} squares"
+    """Refuse verify_identities(n_max) over _SQUARE_CAP squares.
+
+    The terms are positive, so the count stops at the first dimension
+    that takes it over the cap: a huge n_max is refused at once.
+    """
+    work = 0
+    for n in range(1, n_max + 1):
+        work += (2**n if n <= _EXHAUSTIVE_N else _POOL) * math.comb(n, 4)
+        if work > _SQUARE_CAP:
+            break
+    what = f"verify_identities({n_max}) would check at least {work} squares"
     _check_cap(work, _SQUARE_CAP, what)
 
 
@@ -175,8 +183,8 @@ def _sweep(blocks, bound: int, where: str):
     Holds one block at a time: each block and its values are released
     before the next is made, and X and vals may be buffers that the next
     block overwrites, since points are copied out as tuples. (The grid's
-    blocks also hold their shared tail's factors for the whole sweep;
-    see _grid_blocks.) The best point is the first one to reach the best
+    blocks also hold their current tail piece's factor rows; see
+    _grid_blocks.) The best point is the first one to reach the best
     value, as in one sweep of all the blocks' rows.
     """
     best_value, best_point, near = -math.inf, (), []
@@ -235,19 +243,19 @@ class MaxReport:
         )
 
 
-def _uniform_blocks(rng: np.random.Generator, rows: int, n: int):
-    """rows uniform points of [-1, 1]^n, CHUNK rows per block.
+def _uniform_blocks(rng: np.random.Generator, rows: int, n: int, lo: float):
+    """rows uniform points of [lo, 1]^n, CHUNK rows per block.
 
-    Every block is a view of one buffer. rng.uniform(-1, 1) is -1 + 2r
-    for r = rng.random(), so these are the same numbers, in the same
-    order, as one rng.uniform draw of every row.
+    Every block is a view of one buffer. rng.uniform(lo, 1) is
+    lo + (1 - lo) * r for r = rng.random(), so these are the same numbers,
+    in the same order, as one rng.uniform draw of every row.
     """
     buf = np.empty((min(CHUNK, rows), n))
     for s in range(0, rows, CHUNK):
         X = buf[: min(CHUNK, rows - s)]
         rng.random(out=X)
-        X *= 2.0
-        X -= 1.0
+        X *= 1 - lo
+        X += lo
         yield X
 
 
@@ -268,8 +276,9 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     bound_cap's float rule limits the work of both phases.
     """
     budget = check_count("budget", budget)
+    n = check_count("dimension", n, 1)
+    starts = bound_cap(n, budget)  # before any number exponential in n
     bound = qmax_bound(n)
-    starts = bound_cap(n, budget)
     candidates = candidate_maximizers(n)
     for cand in candidates:
         val = eval_q(cand, exact=True)
@@ -282,7 +291,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     method = "vertex-enum"
     evaluations = len(candidates) + budget
     rng = _rng(seed)
-    blocks = ((X, eval_q_batch(X)) for X in _uniform_blocks(rng, budget, n))
+    blocks = ((X, eval_q_batch(X)) for X in _uniform_blocks(rng, budget, n, -1))
     top, point, _ = _sweep(blocks, bound, "random")
     if top > best_value:
         best_value, best_point, method = top, point, "random"
@@ -329,21 +338,6 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     )
 
 
-def _tail_factors(T: np.ndarray, p: np.ndarray, f: np.ndarray):
-    """The factors 1 - x_i ... x_j (i <= j) of the contiguous columns T.
-
-    They come row by row, in _product_batch's order, each written into f
-    and computed as that kernel does, with the running product in p.
-    """
-    for i, x in enumerate(T):
-        np.copyto(p, x)
-        for j in range(i, len(T)):
-            if j > i:
-                np.multiply(p, T[j], out=p)
-            np.subtract(1.0, p, out=f)
-            yield f
-
-
 def _block_values(head, T, tail, p, f, vals) -> np.ndarray:
     """The cube product at every point of a grid block, into vals.
 
@@ -376,14 +370,13 @@ def _grid_blocks(n: int, m: int):
     Each block X is one value of the first h = n - t coordinates, its
     head, with K^t values of the last t, its tail, for the largest t with
     K^t <= CHUNK (K = 2m + 1), or t = 1 with the last axis cut into pieces
-    of CHUNK points if K > CHUNK. vals holds the cube product at X's
-    points, bit-identical to eval_q_batch(X) (_block_values). Every X is a
-    view of one (<= CHUNK, n) buffer and every vals of one array: the tail
-    columns are written once, or once per piece, and the head columns per
-    head. When the blocks share one tail, its factors are computed once
-    per sweep, t(t + 1)/2 <= 36 rows of K^t <= CHUNK floats, so the sweep
-    holds one block plus those rows. With no head, or with pieces, a
-    block's tail factors are computed as they are used, and none are kept.
+    of CHUNK points if K > CHUNK. Pieces imply h = 0: K > CHUNK gives
+    K^2 > _GRID_POINT_CAP, which grid_max refuses for every n >= 2. vals
+    holds the cube product at X's points, bit-identical to eval_q_batch(X)
+    (_block_values). Every X is a view of one (<= CHUNK, n) buffer and
+    every vals of one array. Per tail piece, its columns are written once,
+    then its t(t + 1)/2 <= 36 factor rows of <= CHUNK floats, which every
+    head reuses, so the sweep holds one block plus those rows.
     """
     K = 2 * m + 1
     t = 1
@@ -395,30 +388,27 @@ def _grid_blocks(n: int, m: int):
     buf = np.empty((rows, n), order="F")
     T = buf[:, h:].T
     p, f, vals = np.empty(rows), np.empty(rows), np.empty(rows)
-
-    def fill(s: int) -> int:
-        """Write tail points s, s + 1, ... into T; return how many."""
-        idx = np.arange(s, min(s + CHUNK, points))
-        for c, col in enumerate(T):
-            np.divide(idx // K ** (t - 1 - c) % K - m, m, out=col[: len(idx)])
-        return len(idx)
-
-    pieces = range(0, points, CHUNK)
-    k = fill(0)  # the whole tail, when it is one piece
-    shared = None
-    if h and len(pieces) == 1:
-        shared = np.empty((t * (t + 1) // 2, points))
-        for row, factor in zip(shared, _tail_factors(T, p, f)):
-            row[:] = factor
     g = (np.arange(-m, m + 1) / m).tolist() if h else []
-    for head in itertools.product(g, repeat=h):
-        buf[:, :h] = head
-        for s in pieces:
-            if len(pieces) > 1:
-                k = fill(s)
-            Tk, pk, fk = T[:, :k], p[:k], f[:k]
-            tail = _tail_factors(Tk, pk, fk) if shared is None else shared
-            yield buf[:k], _block_values(head, Tk, tail, pk, fk, vals[:k])
+    for s in range(0, points, CHUNK):
+        k = min(CHUNK, points - s)
+        idx = np.arange(s, s + k)
+        for c, col in enumerate(T):
+            np.divide(idx // K ** (t - 1 - c) % K - m, m, out=col[:k])
+        del idx  # before the factor rows are made
+        Tk, pk = T[:, :k], p[:k]
+        # 1 - x_i ... x_j (h <= i <= j) in _product_batch's order, computed
+        # as that kernel does, with the running product in pk
+        tail = np.empty((t * (t + 1) // 2, k))
+        row = iter(tail)
+        for i, x in enumerate(Tk):
+            np.copyto(pk, x)
+            for j in range(i, t):
+                if j > i:
+                    np.multiply(pk, Tk[j], out=pk)
+                np.subtract(1.0, pk, out=next(row))
+        for head in itertools.product(g, repeat=h):
+            buf[:, :h] = head
+            yield buf[:k], _block_values(head, Tk, tail, pk, f[:k], vals[:k])
 
 
 def grid_max(n: int, step: float) -> MaxReport:
@@ -430,8 +420,11 @@ def grid_max(n: int, step: float) -> MaxReport:
     family are returned as findings, not failures. The points go in
     lexicographic blocks of at most CHUNK rows, written into one reused
     buffer and evaluated from their shared tail's factors (_grid_blocks),
-    bit-identical to eval_q_batch; memory holds one block plus the tail's
-    factors, at most t(t + 1)/2 <= 36 rows of <= CHUNK floats.
+    bit-identical to eval_q_batch; memory holds one block plus the factor
+    rows of the tail's current piece, at most t(t + 1)/2 <= 36 rows of
+    <= CHUNK floats. A grid over _GRID_POINT_CAP points is refused before
+    any work, and a dimension over the cap's bit length before K^n is
+    computed.
     """
     n = check_count("dimension", n, 1)
     check_positive("step", step)
@@ -444,8 +437,11 @@ def grid_max(n: int, step: float) -> MaxReport:
     m = round(1.0 / step) if step <= 1 else 0
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1 evenly")
-    total = (2 * m + 1) ** n
-    _check_cap(total, _GRID_POINT_CAP, f"grid would have {total} points")
+    # K >= 3, so K^n is over the cap for every n over the cap's bit length;
+    # the clamp keeps the power small, and exact for every grid the cap admits
+    K = 2 * m + 1
+    total = K ** min(n, _GRID_POINT_CAP.bit_length() + 1)
+    _check_cap(total, _GRID_POINT_CAP, f"grid would have {K}^{n} points")
     bound = qmax_bound(n)
     best_value, best_point, near = _sweep(_grid_blocks(n, m), bound, "grid")
     known = set(candidate_maximizers(n))
@@ -645,9 +641,10 @@ class InequalityReport:
 def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityReport:
     """Sample the four factor inequalities at random points plus corners.
 
-    Random points are checked vectorized, CHUNK points at a time: the
-    same numbers as one draw, with the first ten violations of each
-    inequality kept in point order, so memory holds one block of points.
+    Random points are checked vectorized, CHUNK points at a time, drawn
+    into one reused buffer (_uniform_blocks): the same numbers as one
+    draw, with the first ten violations of each inequality kept in point
+    order, so memory holds one block of points.
     inequalities_cap's rule, 3 * samples floats, limits work. The 8
     corners of the cube go through the scalar evaluator with exact
     integer arithmetic. Also tracks the largest deviation of the
@@ -659,8 +656,7 @@ def verify_inequalities(samples: int = 100_000, seed: int = 0) -> InequalityRepo
     rng = _rng(seed)
     found: dict[str, list[str]] = {which: [] for which in INEQUALITY_SIDES}
     max_residual = 0.0
-    for s in range(0, samples, CHUNK):
-        pts = rng.uniform(0.0, 1.0, size=(min(CHUNK, samples - s), 3))
+    for pts in _uniform_blocks(rng, samples, 3, 0):
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
         for which, sides in INEQUALITY_SIDES.items():
             lhs, rhs = np.broadcast_arrays(*sides(x, y, z))

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface via main(argv)."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -427,6 +428,27 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == "error: random point (1.0,) gives 3.0 > bound 1\n"
+
+    def test_run_suites_stops_checking_caps_at_the_first_refusal(self, monkeypatch):
+        # n = 41 is refused, and no run past it is built: a list of one run
+        # per dimension up to 10^6 would take over 200 MiB
+        calls = []
+        bound_cap = oracle.bound_cap
+
+        def spy(n, budget):
+            calls.append(n)
+            return bound_cap(n, budget)
+
+        monkeypatch.setattr(oracle, "bound_cap", spy)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="would draw 10250000 floats"):
+                list(run_suites("bound", 10**6, 10**6, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == list(range(1, 42))
+        assert peak < 2**20
 
     def test_run_suites_rejects_bad_counts(self):
         for n_max, samples in ((0, 10), (2.5, 10), (2, -5), (2, 1.5), (2, True)):

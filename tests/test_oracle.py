@@ -1,6 +1,7 @@
 """Sampling and brute-force corroboration routines."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -287,6 +288,15 @@ def test_grid_max_cost_guards():
     assert rep.best_value == float(qmax_bound(7))
 
 
+def test_grid_max_refuses_a_huge_dimension_before_the_power():
+    # (2m + 1)^n has over 4,300 digits at n = 10^5, and at n = 10^400 it
+    # cannot be computed: both are refused from n alone
+    with pytest.raises(ResourceLimitError, match=r"3\^100000 points, cap is 40000000"):
+        grid_max(10**5, 1.0)
+    with pytest.raises(ResourceLimitError, match="cap is 40000000"):
+        grid_max(10**400, 0.5)
+
+
 def test_identities_exhaustive_counts():
     rep = verify_identities(5)
     assert rep.vectors_checked == 62
@@ -336,6 +346,28 @@ def test_identities_cap_counts_squares(monkeypatch):
     monkeypatch.setattr(oracle, "generate_scheme", _no_work)
     with pytest.raises(ResourceLimitError):
         verify_identities(9)
+
+
+def test_identities_refuse_a_huge_n_max_before_any_work(monkeypatch):
+    # the square count stops at the first dimension over the cap, n = 22;
+    # one term per dimension up to 10^400 would never end
+    terms = []
+    comb = math.comb
+
+    def counting(n, k):
+        terms.append(n)
+        assert len(terms) <= 100, "a term per dimension up to n_max"
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counting)
+    monkeypatch.setattr(oracle, "generate_scheme", _no_work)
+    monkeypatch.setattr(oracle, "_sign_tensor", _no_work)
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"verify_identities\({10**400}\) would check at least 203327984 squares",
+    ):
+        verify_identities(10**400)
+    assert terms == list(range(1, 23))
 
 
 def test_identities_rejects_bad_n_max():
@@ -420,6 +452,13 @@ def test_sampled_suites_refuse_over_cap_before_any_work(monkeypatch, suite):
         call(at_cap)
     with pytest.raises(ResourceLimitError, match="would draw .* floats, cap is 120"):
         call(at_cap + 1)
+
+
+def test_verify_bound_refuses_before_computing_its_bound(monkeypatch):
+    # 2^floor((n + 1)/2) at n = 10^12 would take minutes and gigabytes
+    monkeypatch.setattr(oracle, "qmax_bound", _no_work)
+    with pytest.raises(ResourceLimitError, match="verify_bound would draw"):
+        verify_bound(10**12, 10)
 
 
 def test_sampled_suites_refuse_huge_counts_before_any_work(monkeypatch):
