@@ -5,8 +5,9 @@ the cube-product maximum and its attaining points, the algebraic
 identities of generated schemes, the four factor inequalities, and the
 monotonicity of rewrite moves along built certificates. The point is
 independence: these routines only use the evaluators, or running
-products of their own (the identity and grid sweeps), and enumerate or
-sample, so they would catch a bug in the clever parts.
+products of their own (the identity and grid sweeps and verify_bound's
+ascent), and enumerate or sample, so they would catch a bug in the
+clever parts.
 
 The identity sweep works on blocks of sign vectors at once: it builds
 their schemes as one float tensor by running products of its own and
@@ -26,9 +27,9 @@ The other sweeps hold one block at a time, of at most CHUNK rows, the
 batch kernel's own block. verify_inequalities and verify_bound's random
 phase both draw through _uniform_blocks, CHUNK rows per block into one
 reused buffer: numpy fills rows in order, so these are the same numbers
-as one draw of every row. grid_max writes its blocks, in lexicographic
-order, into one reused buffer too. Only verify_bound's ascent starts are
-held whole.
+as one draw of every row. verify_bound's ascent draws its starts the
+same way, in blocks of at most 2 CHUNK / n rows. grid_max writes its
+blocks, in lexicographic order, into one reused buffer too.
 
 grid_max's blocks share their last t coordinates, so it holds one block
 plus the t(t + 1)/2 <= 36 factor rows, of <= CHUNK floats, of the
@@ -36,11 +37,17 @@ current piece of that shared tail, written once per piece. It evaluates
 each block from those rows and its first coordinates' floats,
 bit-identical to eval_q_batch.
 
+verify_bound's ascent keeps, per block of starts, the n x n square of
+their factors, at most 2 CHUNK n floats: the random phase's block plus
+the batch kernel's copy of it. A step moves one coordinate, so it
+recomputes only the factors that hold it and multiplies the square out,
+bit-identical to eval_q_batch on the step's points.
+
 Every suite refuses, before it starts, a run whose estimated work is
 over its cap (_check_cap, ResourceLimitError): identity squares, grid
-points, the monotonicity dimension, or the floats a sampled suite draws.
-For the suites that draw in blocks, the float rule limits work, not the
-size of any one array.
+points, the monotonicity dimension, the floats a sampled suite draws,
+or the steps of verify_bound's ascent. For the suites that draw in
+blocks, the float rule limits work, not the size of any one array.
 Each verify_* function's rule is its own *_cap function, on its validated
 size arguments, so cli.run_suites can check every run before the first.
 
@@ -92,16 +99,21 @@ from .schemes import (
 _BATCH = 250_000
 _GRID_POINT_CAP = 40_000_000
 # Floats a sampled suite may draw, by its *_cap rule: all the points of
-# verify_inequalities, one draw of z-samples, and the larger of _BATCH
-# random points and the ascent starts of verify_bound. A z-sample draw and
-# the starts are each one array; the inequalities and the random phase
-# hold CHUNK rows at a time, so for them this limits work, not memory.
+# verify_inequalities, one draw of z-samples, and the largest of _BATCH
+# random points, the ascent starts and one block's factor square for
+# verify_bound. A z-sample draw and the square are each one array; the
+# inequalities, the random phase and the starts are drawn in blocks, so
+# for them this limits work, not memory.
 _FLOAT_CAP = 10_000_000
 # verify_monotonicity sweeps every sign vector, so it stops at this n,
 # and checks whole certificates in runs of at most _RUN_ROWS z-samples.
 MONOTONICITY_N_MAX = 8
 _RUN_ROWS = 2_048
 _ASCENT_ROUNDS = 20  # verify_bound halves its ascent step this many times
+# Each block of ascent starts takes 2 * _ASCENT_ROUNDS * n steps, each a
+# running product over up to n columns of factors, one numpy call per
+# column whatever the block's size: at most this many (n <= 50).
+_ASCENT_CAP = 100_000
 
 # verify_identities: every sign vector up to _EXHAUSTIVE_N, _POOL random
 # vectors per larger dimension, in blocks of _BLOCK vectors (the reports do
@@ -116,10 +128,19 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(check_count("seed", seed))
 
 
-def _check_cap(work: int, cap: int, what: str) -> None:
-    """Refuse a run, before it starts, whose estimated work exceeds cap."""
+def _check_cap(work: int, cap: int, what: str, *sizes: int) -> None:
+    """Refuse a run, before it starts, whose estimated work exceeds cap.
+
+    The message is what, formatted with sizes. A size over 2048 bits is
+    shown by its bit length: str() refuses an integer over the
+    interpreter's digit limit (4,300 digits by default, 640 at the least).
+    """
     if work > cap:
-        raise ResourceLimitError(f"{what}, cap is {cap}")
+        shown = (
+            str(k) if k.bit_length() <= 2048 else f"[{k.bit_length()}-bit integer]"
+            for k in sizes
+        )
+        raise ResourceLimitError(f"{what.format(*shown)}, cap is {cap}")
 
 
 def identities_cap(n_max: int) -> None:
@@ -133,32 +154,40 @@ def identities_cap(n_max: int) -> None:
         work += (2**n if n <= _EXHAUSTIVE_N else _POOL) * math.comb(n, 4)
         if work > _SQUARE_CAP:
             break
-    what = f"verify_identities({n_max}) would check at least {work} squares"
-    _check_cap(work, _SQUARE_CAP, what)
+    what = "verify_identities({}) would check at least {} squares"
+    _check_cap(work, _SQUARE_CAP, what, n_max, work)
 
 
 def inequalities_cap(samples: int) -> None:
     floats = 3 * samples
-    _check_cap(floats, _FLOAT_CAP, f"verify_inequalities would draw {floats} floats")
+    _check_cap(floats, _FLOAT_CAP, "verify_inequalities would draw {} floats", floats)
 
 
 def monotonicity_cap(n_max: int, samples_per_move: int) -> None:
-    _check_cap(n_max, MONOTONICITY_N_MAX, f"exhaustive sweep to n_max={n_max}")
+    _check_cap(n_max, MONOTONICITY_N_MAX, "exhaustive sweep to n_max={}", n_max)
     floats = n_max * samples_per_move
-    _check_cap(floats, _FLOAT_CAP, f"verify_monotonicity would draw {floats} floats")
+    _check_cap(floats, _FLOAT_CAP, "verify_monotonicity would draw {} floats", floats)
 
 
-def bound_cap(n: int, budget: int) -> int:
-    """verify_bound(n, budget)'s ascent starts; refuses it over the float cap.
+def bound_cap(n: int, budget: int) -> tuple[int, int]:
+    """verify_bound(n, budget)'s ascent starts and rows per block of them.
 
-    The rule counts n floats per row of the larger of min(budget, _BATCH)
-    and the starts. Only the starts are one array; the random phase holds
-    CHUNK rows at a time, so its term limits work, not memory.
+    Refuses the run over either of two caps. The float rule counts the
+    largest of n * min(budget, _BATCH) random floats, n floats per start
+    and one block's n x n factor square, so the square is the only one
+    of them held whole; the random phase and the starts are drawn in
+    blocks, and for them the rule limits work. The ascent rule counts
+    2 * _ASCENT_ROUNDS * n steps of up to n column products per block,
+    work that does not shrink with the block.
     """
     starts = max(1, budget // (2 * _ASCENT_ROUNDS * n))
-    floats = n * max(min(budget, _BATCH), starts)
-    _check_cap(floats, _FLOAT_CAP, f"verify_bound would draw {floats} floats")
-    return starts
+    rows = min(starts, max(1, 2 * CHUNK // n))
+    floats = max(n * min(budget, _BATCH), n * starts, n * n * rows)
+    _check_cap(floats, _FLOAT_CAP, "verify_bound would draw {} floats", floats)
+    steps = 2 * _ASCENT_ROUNDS * n
+    what = "verify_bound's ascent would take {} steps of {} column products"
+    _check_cap(steps * n, _ASCENT_CAP, what, steps, n)
+    return starts, rows
 
 
 def _top(vals, X, bound, where: str) -> tuple[int, float]:
@@ -243,20 +272,82 @@ class MaxReport:
         )
 
 
-def _uniform_blocks(rng: np.random.Generator, rows: int, n: int, lo: float):
-    """rows uniform points of [lo, 1]^n, CHUNK rows per block.
+def _uniform_blocks(
+    rng: np.random.Generator, rows: int, n: int, lo: float, block: int | None = None
+):
+    """rows uniform points of [lo, 1]^n, block (default CHUNK) rows per block.
 
     Every block is a view of one buffer. rng.uniform(lo, 1) is
     lo + (1 - lo) * r for r = rng.random(), so these are the same numbers,
     in the same order, as one rng.uniform draw of every row.
     """
-    buf = np.empty((min(CHUNK, rows), n))
-    for s in range(0, rows, CHUNK):
-        X = buf[: min(CHUNK, rows - s)]
+    block = block or CHUNK
+    buf = np.empty((min(block, rows), n))
+    for s in range(0, rows, block):
+        X = buf[: min(block, rows - s)]
         rng.random(out=X)
         X *= 1 - lo
         X += lo
         yield X
+
+
+def _square_product(F: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The product over the (n, n, rows) factor square F, row-major, into out.
+
+    The cells below the diagonal hold 1.0, and multiplying by 1.0 is
+    exact, so this is _product_batch's total over the same factors.
+    """
+    n, _, rows = F.shape
+    return np.multiply.reduce(F.reshape(n * n, rows), axis=0, out=out)
+
+
+def _ascend(X: np.ndarray, bound: int):
+    """Coordinate ascent from the starts X; (P, vals) of the points it ends at.
+
+    F[i, j] holds the factor 1 - x_i...x_j of every start for i <= j, and
+    1.0 below the diagonal; pre[i] holds x_i...x_{c-1} (and pre[c] = 1)
+    while column c steps. A step on c rewrites only the rectangle
+    F[:c+1, c:] of factors that hold x_c, by running products from pre
+    computed as _product_batch computes them, so every value is
+    bit-identical to eval_q_batch on the step's points. The rectangle's
+    other columns are rewritten by the next column's steps before they
+    are read, so after both steps on c only F[:c+1, c] is put right for
+    the accepted x_c.
+    """
+    PT = X.T.copy()  # one contiguous row per coordinate, moved in place
+    P = PT.T
+    n, rows = PT.shape
+    F = _sign_tensor(X)  # x_i...x_j, and 0.0 below the diagonal
+    np.subtract(1.0, F, out=F)
+    vals = _square_product(F, np.empty(rows))
+    _top(vals, P, bound, "ascent")
+    pre, qvals = np.empty((n, rows)), np.empty(rows)
+    bracket = 1.0
+    for _ in range(_ASCENT_ROUNDS):
+        for c, col in enumerate(PT):
+            pre[c] = 1.0
+            rect = F[: c + 1, c:]
+            for delta in (bracket, -bracket):
+                old = col.copy()
+                col += delta
+                # np.clip(col, -1.0, 1.0): x_c was in [-1, 1], so a step
+                # can pass only the end it moves towards
+                if delta > 0:
+                    np.minimum(col, 1.0, out=col)
+                else:
+                    np.maximum(col, -1.0, out=col)
+                np.multiply(pre[: c + 1], col, out=rect[:, 0])
+                for j in range(1, n - c):
+                    np.multiply(rect[:, j - 1], PT[c + j], out=rect[:, j])
+                np.subtract(1.0, rect, out=rect)
+                _top(_square_product(F, qvals), P, bound, "ascent")
+                better = qvals > vals
+                np.copyto(col, old, where=~better)
+                np.copyto(vals, qvals, where=better)
+            np.multiply(pre[: c + 1], col, out=pre[: c + 1])
+            np.subtract(1.0, pre[: c + 1], out=rect[:, 0])
+        bracket *= 0.5
+    return P, vals
 
 
 def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
@@ -271,13 +362,16 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
 
     The random points are drawn and evaluated CHUNK rows at a time into
     one reused buffer (_uniform_blocks), the same numbers as one draw, so
-    memory holds one block of them; the ascent then holds its starts,
-    about budget / (40 n) points, whole.
-    bound_cap's float rule limits the work of both phases.
+    memory holds one block of them. The ascent's starts, about
+    budget / (40 n) points, are drawn the same way in blocks of at most
+    2 CHUNK / n rows, and each block ascends on its own (_ascend), with
+    its n x n square of factors, at most 2 CHUNK n floats; a step
+    recomputes only the factors that hold its coordinate.
+    bound_cap's rules limit the work of both phases.
     """
     budget = check_count("budget", budget)
     n = check_count("dimension", n, 1)
-    starts = bound_cap(n, budget)  # before any number exponential in n
+    starts, rows = bound_cap(n, budget)  # before any number exponential in n
     bound = qmax_bound(n)
     candidates = candidate_maximizers(n)
     for cand in candidates:
@@ -289,40 +383,19 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
     best_value = float(bound)
     best_point = tuple(float(c) for c in candidates[0])
     method = "vertex-enum"
-    evaluations = len(candidates) + budget
     rng = _rng(seed)
     blocks = ((X, eval_q_batch(X)) for X in _uniform_blocks(rng, budget, n, -1))
     top, point, _ = _sweep(blocks, bound, "random")
     if top > best_value:
         best_value, best_point, method = top, point, "random"
-
-    # The starts are stored column-major: P is the (starts, n) view of the
-    # (n, starts) array PT, so each step moves one contiguous row of PT in
-    # place and puts back the entries that did not improve.
-    PT = rng.uniform(-1.0, 1.0, size=(starts, n)).T.copy()
-    P = PT.T
-    vals = eval_q_batch(P)
-    _top(vals, P, bound, "ascent")
-    evaluations += starts
-    bracket = 1.0
-    for _ in range(_ASCENT_ROUNDS):
-        for col in PT:
-            for delta in (bracket, -bracket):
-                old = col.copy()
-                col += delta
-                np.clip(col, -1.0, 1.0, out=col)
-                qvals = eval_q_batch(P)
-                _top(qvals, P, bound, "ascent")
-                evaluations += starts
-                better = qvals > vals
-                np.copyto(col, old, where=~better)
-                np.copyto(vals, qvals, where=better)
-        bracket *= 0.5
-    idx = int(np.argmax(vals))
-    top = float(vals[idx])
-    if top > best_value:
-        best_value, best_point = top, tuple(P[idx].tolist())
-        method = "coordinate-ascent"
+    # a block's best replaces only a strictly smaller one, so the point is
+    # the first start to reach the best value, as in one block of them all
+    for X in _uniform_blocks(rng, starts, n, -1, rows):
+        P, vals = _ascend(X, bound)
+        idx = int(np.argmax(vals))
+        if vals[idx] > best_value:
+            best_value, best_point = float(vals[idx]), tuple(P[idx].tolist())
+            method = "coordinate-ascent"
 
     return MaxReport(
         n=n,
@@ -332,7 +405,7 @@ def verify_bound(n: int, budget: int = 100_000, seed: int = 0) -> MaxReport:
         bound=bound,
         within_bound=True,
         attained=best_value == float(bound),
-        evaluations=evaluations,
+        evaluations=len(candidates) + budget + starts * (1 + 2 * _ASCENT_ROUNDS * n),
         seed=seed,
         budget=budget,
     )
@@ -441,7 +514,7 @@ def grid_max(n: int, step: float) -> MaxReport:
     # the clamp keeps the power small, and exact for every grid the cap admits
     K = 2 * m + 1
     total = K ** min(n, _GRID_POINT_CAP.bit_length() + 1)
-    _check_cap(total, _GRID_POINT_CAP, f"grid would have {K}^{n} points")
+    _check_cap(total, _GRID_POINT_CAP, "grid would have {}^{} points", K, n)
     bound = qmax_bound(n)
     best_value, best_point, near = _sweep(_grid_blocks(n, m), bound, "grid")
     known = set(candidate_maximizers(n))
@@ -492,7 +565,9 @@ def _sign_tensor(E: np.ndarray) -> np.ndarray:
     """The schemes of the (B, n) sign vectors E, as an (n, n, B) tensor.
 
     Entry [i, j, b] is E[b, i] * ... * E[b, j] for i <= j, built by
-    running products along each row; entries below the diagonal are 0.
+    running products along each row, left to right as _product_batch
+    builds them; entries below the diagonal are 0. E may hold any
+    floats: _ascend builds its factor squares from this tensor.
     """
     B, n = E.shape
     cols = np.ascontiguousarray(E.T)
@@ -576,8 +651,8 @@ def verify_identities(n_max: int, seed: int = 0) -> IdentityReport:
     squares, a few seconds) and n_max = 21 run, n_max = 22 does not.
     """
     n_max = check_count("n_max", n_max, 1)
-    rng = _rng(seed)
     identities_cap(n_max)
+    rng = _rng(seed)
     vectors = squares = sums = parity = 0
     violations: list[str] = []
     for n in range(1, n_max + 1):

@@ -117,7 +117,10 @@ def test_verify_bound_flags_nan_evaluator(monkeypatch):
     with pytest.raises(BoundViolationError, match=r"random point \(-?0\.") as exc:
         verify_bound(3, budget=1000)
     assert "np.float64" not in str(exc.value)
-    # with no random budget the ascent's own batches must catch it
+    # the ascent evaluates its own factor squares; with no random budget
+    # its checks must catch a NaN there
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_square_product", lambda F, out: _nan_batch(out))
     with pytest.raises(BoundViolationError, match=r"ascent point \(-?0\.") as exc:
         verify_bound(3, budget=0)
     assert "np.float64" not in str(exc.value)
@@ -469,9 +472,47 @@ def test_sampled_suites_refuse_huge_counts_before_any_work(monkeypatch):
         lambda: verify_monotonicity(8, samples_per_move=10**9),
         lambda: verify_bound(3, budget=10**12),  # ascent starts ~ budget / 120
         lambda: verify_bound(100, budget=250_000),  # n * min(budget, _BATCH) floats
+        lambda: verify_bound(10**4, budget=0),  # one start's n x n factor square
     ):
         with pytest.raises(ResourceLimitError, match="cap is"):
             call()
+
+
+def test_verify_bound_refuses_a_long_ascent_before_any_work(monkeypatch):
+    # one start of 150 floats is under every float rule, but its ascent
+    # takes 6,000 steps of up to 150 column products each
+    _guard_sampling(monkeypatch)
+    with pytest.raises(
+        ResourceLimitError,
+        match="verify_bound's ascent would take 6000 steps of 150 column products, "
+        "cap is 100000",
+    ):
+        verify_bound(150, 0)
+    # 2 * 20 * 50 * 50 steps times columns is the cap itself
+    with pytest.raises(AssertionError, match="work started"):
+        verify_bound(50, 0)
+    with pytest.raises(ResourceLimitError, match="cap is 100000"):
+        verify_bound(51, 0)
+
+
+HUGE = 10**5000  # over the 4,300 digits str() prints by default
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: grid_max(HUGE, 1.0), id="grid"),
+        pytest.param(lambda: verify_identities(HUGE), id="identities"),
+        pytest.param(lambda: verify_bound(HUGE, 10), id="bound"),
+        pytest.param(lambda: verify_inequalities(HUGE), id="inequalities"),
+        pytest.param(lambda: verify_monotonicity(HUGE), id="monotonicity"),
+    ],
+)
+def test_a_huge_size_is_refused_not_printed(monkeypatch, call):
+    for name in ("_rng", "generate_scheme", "qmax_bound", "_grid_blocks"):
+        monkeypatch.setattr(oracle, name, _no_work)
+    with pytest.raises(ResourceLimitError, match=r"\[\d{5}-bit integer\].*cap is"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -480,11 +521,13 @@ def test_sampled_suites_refuse_huge_counts_before_any_work(monkeypatch):
         lambda: verify_inequalities(500_000),
         lambda: verify_monotonicity(oracle.MONOTONICITY_N_MAX, samples_per_move=5_000),
         lambda: verify_bound(12, budget=500_000),
+        lambda: verify_bound(40, budget=500_000),
     ],
 )
 def test_sample_caps_admit_counts_in_use(monkeypatch, call):
-    # --samples 500000 (the sample workload) gives these counts; the tests
-    # and scripts use 100,000 at most
+    # --samples 500000 (the sample workload) gives these counts, and runs
+    # the bound suite up to --n-max 40; the tests and scripts use 100,000
+    # samples at most
     _guard_sampling(monkeypatch)
     with pytest.raises(AssertionError, match="work started"):
         call()

@@ -12,8 +12,9 @@ meshgrid of its last n - 1 coordinates, one block per first coordinate,
 and the random phase as a countdown of batches. The package feeds both
 through one bounded sweep; the reports must be equal, points, findings
 and evaluation counts included. The package evaluates each grid block
-from its shared tail's factors; every block's values must equal
-eval_q_batch's on its points byte for byte.
+from its shared tail's factors, and each ascent step from the factor
+square it keeps for its block of starts; every block's and every step's
+values must equal eval_q_batch's on its points byte for byte.
 
 _reference_verify_inequalities is verify_inequalities with all its
 points in one array. The package draws them in blocks of CHUNK rows;
@@ -427,32 +428,47 @@ def test_verify_bound_matches_reference(n, budget):
     assert verify_bound(n, budget, seed=5) == _reference_verify_bound(n, budget, seed=5)
 
 
-def _joined(batches):
+def _joined(batches, steps):
     """The (where, X bytes, values bytes) batches, each run of random
-    blocks joined into one: rows are contiguous, so the bytes of a
-    block's rows follow those of the block before."""
+    blocks joined into one, and each ascent step joined across the blocks
+    of starts: rows are contiguous, so the bytes of a block's rows follow
+    those of the block before. Every block of starts has steps batches.
+    """
     out = []
+    ascent = [b for b in batches if b[0] == "ascent"]
     for where, X, vals in batches:
+        if where == "ascent":
+            break
         if out and out[-1][0] == where == "random":
             out[-1] = (where, out[-1][1] + X, out[-1][2] + vals)
         else:
             out.append((where, X, vals))
+    assert len(ascent) % steps == 0
+    for k in range(steps):
+        _, X, vals = zip(*ascent[k::steps])
+        out.append(("ascent", b"".join(X), b"".join(vals)))
     return out
 
 
 @pytest.mark.parametrize(
-    "n,budget",
+    "n,budget,chunk",
     [
-        pytest.param(3, 4_000, id="3"),
-        pytest.param(8, 4_000, id="8"),
-        pytest.param(3, CHUNK + 5, id="3-CHUNK+5"),
+        pytest.param(1, 4_000, CHUNK, id="1"),
+        pytest.param(3, 4_000, CHUNK, id="3"),
+        pytest.param(8, 4_000, CHUNK, id="8"),
+        pytest.param(12, 10_000, CHUNK, id="12"),
+        pytest.param(3, CHUNK + 5, CHUNK, id="3-CHUNK+5"),
+        # starts = 33 in blocks of 2 * 25 // 3 = 16 rows: 16, 16 and 1
+        pytest.param(3, 4_000, 25, id="3-blocks"),
     ],
 )
-def test_verify_bound_evaluates_the_reference_points(monkeypatch, n, budget):
+def test_verify_bound_evaluates_the_reference_points(monkeypatch, n, budget, chunk):
     # The candidates attain the bound, so a report never shows the
     # ascent's points: compare every batch both searches evaluate. The
-    # package draws its random points CHUNK rows at a time, the reference
-    # in one batch, so a budget over CHUNK compares them joined.
+    # package draws its random points CHUNK rows at a time, and ascends
+    # from blocks of at most 2 CHUNK / n starts, the reference in one
+    # batch each, so the package's batches are compared joined.
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
     seen = []
     top = oracle._top
 
@@ -461,13 +477,16 @@ def test_verify_bound_evaluates_the_reference_points(monkeypatch, n, budget):
         return top(vals, X, bound, where)
 
     monkeypatch.setattr(oracle, "_top", spy)
-    verify_bound(n, budget, seed=5)
+    rep = verify_bound(n, budget, seed=5)
     package = seen[:]
     seen.clear()
-    _reference_verify_bound(n, budget, seed=5)
-    assert _joined(package) == _joined(seen)
-    assert len(seen) == 2 + 2 * oracle._ASCENT_ROUNDS * n
-    assert len(package) == len(seen) - 1 + -(-budget // CHUNK)
+    assert rep == _reference_verify_bound(n, budget, seed=5)
+    steps = 1 + 2 * oracle._ASCENT_ROUNDS * n
+    assert _joined(package, steps) == _joined(seen, steps)
+    assert len(seen) == 1 + steps
+    starts = budget // (2 * oracle._ASCENT_ROUNDS * n)
+    blocks = -(-starts // (2 * chunk // n))
+    assert len(package) == -(-budget // chunk) + blocks * steps
 
 
 @pytest.mark.parametrize(
@@ -524,22 +543,25 @@ def test_grid_memory_is_one_block_and_its_tail_factors():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,mib",
     [
-        # one 250,000-row batch of 12 floats is 22.9 MiB
-        pytest.param(lambda: verify_bound(12, 500_000), id="bound"),
+        # one 250,000-row batch of 12 floats is 22.9 MiB; the random phase
+        # holds one block of 8,192 points and the batch kernel's copy of
+        # it, 1.5 MiB, and the ascent 1,041 starts' 12 x 12 square of
+        # factors, 1.1 MiB
+        pytest.param(lambda: verify_bound(12, 500_000), 2, id="bound"),
         # 10^6 points are 22.9 MiB, and each side of an inequality 7.6 MiB
-        pytest.param(lambda: verify_inequalities(1_000_000), id="inequalities"),
+        pytest.param(lambda: verify_inequalities(1_000_000), 4, id="inequalities"),
     ],
 )
-def test_sampled_memory_is_one_block(call):
+def test_sampled_memory_is_one_block(call, mib):
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < mib * 2**20
 
 
 def _reference_verify_inequalities(samples, seed=0):
