@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
-from .errors import DomainError, check_count, check_positive
+from .errors import DomainError, check_count, check_positive, printable
 
 # Exact values of g_d^d for the ranks where the Hermite constant is known
 # (standard lattice-theory data, not derived here).
@@ -43,7 +43,7 @@ def hermite_constant(d: int) -> float:
     if isinstance(d, bool) or not isinstance(d, Integral) or d not in HERMITE_POWERS:
         raise DomainError(
             f"Hermite constant is tabulated only for ranks 1..{HERMITE_MAX_RANK}, "
-            f"got {d}; pass an explicit upper bound instead"
+            f"got {printable(d)}; pass an explicit upper bound instead"
         )
     return float(HERMITE_POWERS[d]) ** (1.0 / d)
 

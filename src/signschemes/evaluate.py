@@ -32,11 +32,13 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, printable
 from .schemes import MINUS, PLUS, Scheme
 
 # Absolute tolerance for single-factor comparisons; full products of up to
@@ -74,7 +76,7 @@ def _in_cube(coords, lo: int) -> tuple:
         with suppress(TypeError, ValueError):
             inside = lo * _EDGE <= c <= _EDGE
         if not inside:
-            raise DomainError(f"coordinate {c!r} outside [{lo}, 1]")
+            raise DomainError(f"coordinate {printable(c)!r} outside [{lo}, 1]")
     return coords
 
 
@@ -211,11 +213,20 @@ def _product_batch(X: np.ndarray, signs=None) -> np.ndarray:
 
 
 def _batch(X, lo: int, n: int | None = None) -> np.ndarray:
-    """X as an (m, n) float array in [lo, 1]^n; n=None takes any n >= 1."""
+    """X as an (m, n) float array in [lo, 1]^n; n=None takes any n >= 1.
+
+    Entries must be real numbers, as for the scalar evaluators: a cast to
+    float would read a numeric string and drop an imaginary part.
+    """
     try:
-        X = np.asarray(X, dtype=float)
+        X = np.asarray(X)
+        if X.dtype.kind not in "biuf" and not (
+            X.dtype == object and all(isinstance(v, (Real, Decimal)) for v in X.flat)
+        ):
+            raise TypeError  # refused below, as an entry float() cannot read
+        X = X.astype(float, copy=False)
     except (TypeError, ValueError):
-        raise DomainError("batch contains entries that are not numbers") from None
+        raise DomainError("batch contains entries that are not real numbers") from None
     if X.ndim != 2 or X.shape[1] == 0 or n not in (None, X.shape[1]):
         raise DimensionError(f"expected shape (m, {n or 'n'}), got {X.shape}")
     if X.size and not (lo * _EDGE <= X.min() and X.max() <= _EDGE):

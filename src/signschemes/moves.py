@@ -39,7 +39,13 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import DimensionError, DomainError, InvalidMoveError, TriangleIndexError
+from .errors import (
+    DimensionError,
+    DomainError,
+    InvalidMoveError,
+    TriangleIndexError,
+    printable,
+)
 from .schemes import MINUS, PLUS, Scheme, as_sign_vector, sign_char
 
 POINT = "P"
@@ -144,7 +150,9 @@ class Move(tuple):
 
     def __str__(self) -> str:
         name, rows, cols, _ = _LAYOUT[self[0]]
-        rows, cols = (",".join([f"{self[s]}" for s in ax]) for ax in (rows, cols))
+        rows, cols = (
+            ",".join([f"{printable(self[s])}" for s in ax]) for ax in (rows, cols)
+        )
         return f"{name}({rows};{cols})"
 
     def to_obj(self) -> dict:
@@ -227,13 +235,15 @@ class Certificate:
         return len(self.eps)
 
 
-def _check_is_certificate(cert) -> None:
+def check_is_certificate(cert) -> None:
+    """DomainError unless cert is a Certificate."""
     if not isinstance(cert, Certificate):
-        raise DomainError(f"expected a Certificate, got {type(cert).__name__}")
+        got = type(cert).__name__
+        raise DomainError(f"certificate must be a Certificate, got {got}")
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
-    _check_is_certificate(cert)
+    check_is_certificate(cert)
     return {
         "n": cert.n,
         "eps": list(cert.eps),
@@ -257,7 +267,7 @@ _MOVE_JSON = {
 
 def certificate_to_json(cert: Certificate) -> str:
     """Compact JSON, equal byte for byte to json.dumps of certificate_to_obj."""
-    _check_is_certificate(cert)
+    check_is_certificate(cert)
     moves = []
     for m in cert.moves:
         template, fields = _MOVE_JSON[m[0]]
@@ -285,7 +295,7 @@ def certificate_from_obj(obj) -> Certificate:
             raise DomainError(f"certificate field 'n' must be an integer, got {n!r}")
         if n != len(eps):
             raise DimensionError(
-                f"certificate says n={n} but eps has length {len(eps)}"
+                f"certificate says n={printable(n)} but eps has length {len(eps)}"
             )
     raw_moves = obj["moves"]
     if not isinstance(raw_moves, list):

@@ -54,8 +54,17 @@ from functools import cache
 from itertools import groupby
 from operator import attrgetter
 
-from .errors import AlgorithmInvariantError, DimensionError, DomainError
-from .moves import HORIZONTAL, POINT, SQUARE, VERTICAL, Certificate, Move, rows_mismatch
+from .errors import AlgorithmInvariantError, DimensionError, DomainError, printable
+from .moves import (
+    HORIZONTAL,
+    POINT,
+    SQUARE,
+    VERTICAL,
+    Certificate,
+    Move,
+    check_is_certificate,
+    rows_mismatch,
+)
 from .schemes import (
     MINUS,
     PLUS,
@@ -259,9 +268,7 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
     cert raises DimensionError.
     """
     eps = as_sign_vector(eps)
-    if not isinstance(cert, Certificate):
-        got = type(cert).__name__
-        raise DomainError(f"certificate must be a Certificate, got {got}")
+    check_is_certificate(cert)
     n = len(eps)
     if cert.n != n:
         raise DimensionError(f"certificate is for n={cert.n}, input has n={n}")
@@ -289,7 +296,7 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
         kind, i, j, i2, j2 = move
         if (j2 or j) > n:
             preconditions_ok = False
-            outside = (i, j) if j > n else (i, j2)
+            outside = (printable(i), printable(j if j > n else j2))
             failures.append(f"move {idx} {move}: position {outside} outside triangle")
             continue
         row = grid[i - 1]

@@ -5,17 +5,18 @@ the cube-product maximum and its attaining points, the algebraic
 identities of generated schemes, the four factor inequalities, and the
 monotonicity of rewrite moves along built certificates. The point is
 independence: these routines only use the evaluators, or running
-products of their own (the identity and grid sweeps and verify_bound's
-ascent), and enumerate or sample, so they would catch a bug in the
-clever parts.
+products of their own, and enumerate or sample, so they would catch a
+bug in the clever parts. The identity and grid sweeps and
+verify_bound's ascent form every running product x_i...x_j through one
+routine, _running_products, whose docstring says why its rows are
+bit-identical to the batch evaluator's.
 
 The identity sweep works on blocks of sign vectors at once: it builds
-their schemes as one float tensor by running products of its own and
-checks every square, sum and parity cell with array operations. Every
-entry is +1, -1 or 0 and every sum a small integer, all exact in
-floats, and the float operations are the ones the batch evaluator
-already runs. Per dimension, the schemes of the first and last vector
-are compared with generate_scheme.
+their schemes as one float tensor (_sign_tensor) and checks every
+square, sum and parity cell with array operations. Every entry is +1,
+-1 or 0 and every sum a small integer, all exact in floats. Per
+dimension, the schemes of the first and last vector are compared with
+generate_scheme.
 
 The monotonicity sweep replays each certificate, then checks whole
 certificates together in runs of at most _RUN_ROWS z-sample rows: one
@@ -71,6 +72,7 @@ from .errors import (
     TriangleIndexError,
     check_count,
     check_positive,
+    printable,
 )
 from .evaluate import (
     CHUNK,
@@ -85,7 +87,7 @@ from .evaluate import (
     quad_swap_residual,
 )
 from .moves import apply_move
-from .normalize import build_certificate, report_to_json  # noqa: F401 (re-exported)
+from .normalize import build_certificate
 from .schemes import (
     MINUS,
     PLUS,
@@ -131,16 +133,10 @@ def _rng(seed) -> np.random.Generator:
 def _check_cap(work: int, cap: int, what: str, *sizes: int) -> None:
     """Refuse a run, before it starts, whose estimated work exceeds cap.
 
-    The message is what, formatted with sizes. A size over 2048 bits is
-    shown by its bit length: str() refuses an integer over the
-    interpreter's digit limit (4,300 digits by default, 640 at the least).
+    The message is what, formatted with sizes, each through printable.
     """
     if work > cap:
-        shown = (
-            str(k) if k.bit_length() <= 2048 else f"[{k.bit_length()}-bit integer]"
-            for k in sizes
-        )
-        raise ResourceLimitError(f"{what.format(*shown)}, cap is {cap}")
+        raise ResourceLimitError(f"{what.format(*map(printable, sizes))}, cap is {cap}")
 
 
 def identities_cap(n_max: int) -> None:
@@ -301,18 +297,30 @@ def _square_product(F: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(F.reshape(n * n, rows), axis=0, out=out)
 
 
+def _running_products(out: np.ndarray, cols) -> None:
+    """Set out[j] = out[j - 1] * cols[j] for j >= 1, in place.
+
+    The caller sets out[0]. With out[0] = x_i and cols[j] = x_{i+j}, row j
+    becomes x_i...x_{i+j}, the one before it times one more coordinate: the
+    multiplications _product_batch makes for its running product, in
+    the same order, so every row is bit-identical to that kernel's.
+    cols[j] may broadcast against out[j].
+    """
+    for j in range(1, len(out)):
+        np.multiply(out[j - 1], cols[j], out=out[j])
+
+
 def _ascend(X: np.ndarray, bound: int):
     """Coordinate ascent from the starts X; (P, vals) of the points it ends at.
 
     F[i, j] holds the factor 1 - x_i...x_j of every start for i <= j, and
     1.0 below the diagonal; pre[i] holds x_i...x_{c-1} (and pre[c] = 1)
     while column c steps. A step on c rewrites only the rectangle
-    F[:c+1, c:] of factors that hold x_c, by running products from pre
-    computed as _product_batch computes them, so every value is
-    bit-identical to eval_q_batch on the step's points. The rectangle's
-    other columns are rewritten by the next column's steps before they
-    are read, so after both steps on c only F[:c+1, c] is put right for
-    the accepted x_c.
+    F[:c+1, c:] of factors that hold x_c, by _running_products from
+    pre, so every value is bit-identical to eval_q_batch on the step's
+    points. The rectangle's other columns are rewritten by the next
+    column's steps before they are read, so after both steps on c only
+    F[:c+1, c] is put right for the accepted x_c.
     """
     PT = X.T.copy()  # one contiguous row per coordinate, moved in place
     P = PT.T
@@ -337,8 +345,7 @@ def _ascend(X: np.ndarray, bound: int):
                 else:
                     np.maximum(col, -1.0, out=col)
                 np.multiply(pre[: c + 1], col, out=rect[:, 0])
-                for j in range(1, n - c):
-                    np.multiply(rect[:, j - 1], PT[c + j], out=rect[:, j])
+                _running_products(rect.swapaxes(0, 1), PT[c:])
                 np.subtract(1.0, rect, out=rect)
                 _top(_square_product(F, qvals), P, bound, "ascent")
                 better = qvals > vals
@@ -468,20 +475,18 @@ def _grid_blocks(n: int, m: int):
         for c, col in enumerate(T):
             np.divide(idx // K ** (t - 1 - c) % K - m, m, out=col[:k])
         del idx  # before the factor rows are made
-        Tk, pk = T[:, :k], p[:k]
-        # 1 - x_i ... x_j (h <= i <= j) in _product_batch's order, computed
-        # as that kernel does, with the running product in pk
+        Tk = T[:, :k]
+        # 1 - x_i ... x_j (h <= i <= j) in _product_batch's order: the
+        # t - i rows of each i, by _running_products
         tail = np.empty((t * (t + 1) // 2, k))
-        row = iter(tail)
-        for i, x in enumerate(Tk):
-            np.copyto(pk, x)
-            for j in range(i, t):
-                if j > i:
-                    np.multiply(pk, Tk[j], out=pk)
-                np.subtract(1.0, pk, out=next(row))
+        for i, prods in enumerate(np.split(tail, np.cumsum(range(t, 1, -1)))):
+            prods[0] = Tk[i]
+            _running_products(prods, Tk[i:])
+        del prods  # the sweep holds no view of the split
+        np.subtract(1.0, tail, out=tail)
         for head in itertools.product(g, repeat=h):
             buf[:, :h] = head
-            yield buf[:k], _block_values(head, Tk, tail, pk, f[:k], vals[:k])
+            yield buf[:k], _block_values(head, Tk, tail, p[:k], f[:k], vals[:k])
 
 
 def grid_max(n: int, step: float) -> MaxReport:
@@ -564,22 +569,17 @@ class IdentityReport:
 def _sign_tensor(E: np.ndarray) -> np.ndarray:
     """The schemes of the (B, n) sign vectors E, as an (n, n, B) tensor.
 
-    Entry [i, j, b] is E[b, i] * ... * E[b, j] for i <= j, built by
-    running products along each row, left to right as _product_batch
-    builds them; entries below the diagonal are 0. E may hold any
+    Entry [i, j, b] is E[b, i] * ... * E[b, j] for i <= j, each row by
+    _running_products; entries below the diagonal are 0. E may hold any
     floats: _ascend builds its factor squares from this tensor.
     """
     B, n = E.shape
     cols = np.ascontiguousarray(E.T)
     C = np.zeros((n, n, B))
     for i in range(n):
-        np.multiply.accumulate(cols[i:], axis=0, out=C[i, i:])
+        C[i, i] = cols[i]
+        _running_products(C[i, i:], cols[i:])
     return C
-
-
-def _cells(mask: np.ndarray):
-    """The index tuples of mask's true cells."""
-    return zip(*np.nonzero(mask))
 
 
 def _identity_violations(
@@ -600,7 +600,7 @@ def _identity_violations(
     for i2 in range(1, n - 2):
         A = C[:i2, i2 + 1 :] * C[i2, i2 + 1 :]
         if np.count_nonzero(A[:, 1:] != A[:, :-1]):
-            for i, j, j2, b in _cells(A[:, :, None] * A[:, None] != PLUS):
+            for i, j, j2, b in np.argwhere(A[:, :, None] * A[:, None] != PLUS):
                 if j < j2:
                     messages.append(
                         f"square product != +1 at ({i + 1},{i2 + 1};"
@@ -619,13 +619,13 @@ def _identity_violations(
         wrong = 0.5 * (row - target[i])
         H = np.cumsum(row, axis=0) - row
         Hw = np.cumsum(wrong, axis=0) - wrong
-        for j, b in _cells(minus[i] & (H + V != 0)):
+        for j, b in np.argwhere(minus[i] & (H + V != 0)):
             messages.append(
                 f"row sum {int(H[j, b])} != -(column sum {int(V[j, b])}) "
                 f"at ({i + 1},{j + 1}) for {eps[b]}"
             )
         bad = odd[i] & ((V != 2 * Vw - 1) | (H != 2 * Hw - 1) | (Hw + Vw != 1))
-        for j, b in _cells(bad):
+        for j, b in np.argwhere(bad):
             messages.append(
                 f"parity identity fails at ({i + 1},{j + 1}) for {eps[b]}: "
                 f"H={int(H[j, b])}, V={int(V[j, b])}, "

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterator
 
-from .errors import DimensionError, DomainError, TriangleIndexError, check_count
+from .errors import (
+    DimensionError,
+    DomainError,
+    TriangleIndexError,
+    check_count,
+    printable,
+)
 
 PLUS = 1
 MINUS = -1
@@ -34,7 +40,7 @@ _PARSE_TOKENS = {"+": PLUS, "+1": PLUS, "1": PLUS, "-": MINUS, "-1": MINUS}
 def sign_char(s: int) -> str:
     """'+' or '-' for a sign value; DomainError for anything else, True included."""
     if type(s) is not int or s not in _SIGN_CHARS:
-        raise DomainError(f"not a sign: {s!r}")
+        raise DomainError(f"not a sign: {printable(s)!r}")
     return _SIGN_CHARS[s]
 
 
@@ -55,6 +61,7 @@ def as_sign_vector(values) -> tuple[int, ...]:
         if type(v) is int and v in (PLUS, MINUS):
             continue
         if isinstance(v, bool) or not isinstance(v, Integral) or v not in (PLUS, MINUS):
+            v = printable(v)
             raise DomainError(f"sign vector entries must be +1 or -1, got {v!r}")
         plain = False
     return eps if plain else tuple(map(int, eps))
@@ -111,6 +118,7 @@ class Scheme:
                 )
             for v in row:
                 if type(v) is not int or v not in _SIGN_CHARS:
+                    v = printable(v)
                     raise DomainError(f"scheme entries must be +1 or -1, got {v!r}")
 
     @property
@@ -174,7 +182,7 @@ def generate_scheme(eps) -> Scheme:
 def _check_size(name: str, n) -> int:
     """n as an int; DomainError unless an integer, DimensionError if below 1."""
     if isinstance(n, Integral) and not isinstance(n, bool) and n < 1:
-        raise DimensionError(f"{name} must be positive, got {n}")
+        raise DimensionError(f"{name} must be positive, got {printable(n)}")
     return check_count(name, n, 1)
 
 
@@ -184,8 +192,10 @@ def _check_position(i, j, n) -> None:
     if not (type(i) is type(j) is int) and not all(
         isinstance(v, Integral) and not isinstance(v, bool) for v in (i, j)
     ):
+        i, j = printable(i), printable(j)
         raise DomainError(f"position indices must be integers: ({i!r}, {j!r})")
     if not (1 <= i <= j <= n):
+        i, j, n = printable(i), printable(j), printable(n)
         raise TriangleIndexError(f"position ({i}, {j}) outside triangle of size {n}")
 
 

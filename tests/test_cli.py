@@ -23,7 +23,7 @@ from signschemes.normalize import (
     check_certificate,
     render_trace,
 )
-from signschemes.oracle import report_to_json
+from signschemes import report_to_json
 
 WORKED = "+,-,+,+,-,+,+"
 WORKED_EPS = (1, -1, 1, 1, -1, 1, 1)

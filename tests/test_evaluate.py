@@ -1,6 +1,7 @@
 """Product evaluators, the chamber split, and the factor inequalities."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -332,3 +333,37 @@ def test_p_q_bridge_spot_values():
     assert p == pytest.approx(q, rel=1e-9)
     assert p > 0
     assert math.isfinite(p)
+
+
+# A cast to float would read numeric strings and bytes, and drop an
+# imaginary part with a ComplexWarning; eval_q refuses the same points.
+NOT_REAL_BATCHES = {
+    "str": [["0.5", "-0.5"]],
+    "bytes": [[b"0.5"]],
+    "str-in-object": np.array([[0.5, "0.5"]], dtype=object),
+    "complex": np.array([[0.5 + 0.5j]]),
+    "complex-zero-imag": np.array([[0.5 + 0j]]),
+}
+
+
+@pytest.mark.parametrize("X", NOT_REAL_BATCHES.values(), ids=NOT_REAL_BATCHES)
+def test_batches_refuse_entries_that_are_not_real_numbers(X):
+    with pytest.raises(DomainError, match="not real numbers"):
+        eval_q_batch(X)
+    with pytest.raises(DomainError, match="not real numbers"):
+        eval_f_batch(generate_scheme((1,) * np.shape(X)[1]), X)
+    with pytest.raises(DomainError):
+        eval_q(np.asarray(X)[0].tolist())
+
+
+def test_batches_take_every_real_entry_type():
+    expected = eval_q_batch(np.array([[0.5, 1.0, 0.0]]))
+    for X in (
+        np.array([[0.5, True, False]], dtype=object),
+        [[Fraction(1, 2), 1, 0]],
+        [[Decimal("0.5"), Decimal(1), 0.0]],
+        np.array([[0.5, 1, 0]], dtype=np.float32),
+    ):
+        assert eval_q_batch(X).tolist() == expected.tolist()
+    assert eval_q_batch(np.array([[True, False]])).tolist() == [0.0]
+    assert eval_q_batch(np.array([[-1, 1]], dtype=np.int8)).tolist() == [0.0]

@@ -37,7 +37,7 @@ EXPORTS = {
     normalize: "CheckReport TraceStep build_certificate check_certificate render_trace "
     "trace_build trace_to_obj report_to_json",
     oracle: "IdentityReport InequalityReport MaxReport MonotonicityReport "
-    "candidate_maximizers grid_max qmax_bound report_to_json verify_bound "
+    "candidate_maximizers grid_max qmax_bound verify_bound "
     "verify_identities verify_inequalities verify_monotonicity",
     schemes: "MINUS PLUS Scheme all_sign_vectors as_sign_vector format_signs "
     "generate_scheme is_reference parse_signs reference_scheme reference_sign "

@@ -351,3 +351,17 @@ def test_widened_moves_change_kind_in_place():
     assert levels[6].index(Move.square(2, 3, 3, 6)) == levels[5].index(
         Move.vertical(2, 3, 3)
     )
+
+
+CERTIFICATE_READERS = {
+    "check_certificate": lambda cert: check_certificate(WORKED, cert),
+    "certificate_to_obj": certificate_to_obj,
+    "certificate_to_json": certificate_to_json,
+}
+
+
+@pytest.mark.parametrize("call", CERTIFICATE_READERS.values(), ids=CERTIFICATE_READERS)
+def test_every_certificate_reader_words_its_refusal_alike(call):
+    with pytest.raises(DomainError) as info:
+        call("x")
+    assert str(info.value) == "certificate must be a Certificate, got str"
