@@ -1,7 +1,8 @@
 """Exception types shared across the package, the count and positive checks,
-and printable, which keeps a huge integer from breaking a message."""
+and printable, which keeps a huge integer or Fraction from breaking a message."""
 
 import math
+from fractions import Fraction
 from numbers import Integral, Real
 
 
@@ -46,26 +47,34 @@ class BoundViolationError(RuntimeError):
     """A numerically observed value exceeds a proven bound."""
 
 
-class _BitLength:
-    """Stands in a message for an integer too long to print."""
+class _Shown:
+    """Stands in a message for a number too long to print."""
 
-    def __init__(self, bits: int):
-        self.bits = bits
+    def __init__(self, text: str):
+        self.text = text
 
     def __repr__(self) -> str:
-        return f"[{self.bits}-bit integer]"
+        return self.text
 
 
 def printable(value):
-    """value, or a stand-in naming its bit length if it is an int over 2048 bits.
+    """value, or a stand-in for an int or a Fraction too long to print.
 
     str() and repr() refuse an integer over the interpreter's digit limit
     (4,300 digits by default, 640 at the least), so a message that formats
-    one would raise ValueError itself. Every other value is returned as it
-    is, so messages about normal sizes do not change.
+    one would raise ValueError itself. An int over 2048 bits is shown by
+    its bit length, and a Fraction with such a numerator or denominator as
+    Fraction(numerator, denominator), each part through printable. Every
+    other value is returned as it is, so messages about normal sizes do
+    not change.
     """
     if isinstance(value, int) and value.bit_length() > 2048:
-        return _BitLength(value.bit_length())
+        return _Shown(f"[{value.bit_length()}-bit integer]")
+    if isinstance(value, Fraction) and max(
+        value.numerator.bit_length(), value.denominator.bit_length()
+    ) > 2048:
+        num, den = printable(value.numerator), printable(value.denominator)
+        return _Shown(f"{type(value).__name__}({num!r}, {den!r})")
     return value
 
 

@@ -224,7 +224,10 @@ def _batch(X, lo: int, n: int | None = None) -> np.ndarray:
             X.dtype == object and all(isinstance(v, (Real, Decimal)) for v in X.flat)
         ):
             raise TypeError  # refused below, as an entry float() cannot read
-        X = X.astype(float, copy=False)
+        try:
+            X = X.astype(float, copy=False)
+        except OverflowError:  # an entry past the float range, refused below
+            X = np.full(X.shape, np.inf)
     except (TypeError, ValueError):
         raise DomainError("batch contains entries that are not real numbers") from None
     if X.ndim != 2 or X.shape[1] == 0 or n not in (None, X.shape[1]):

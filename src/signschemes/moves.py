@@ -120,7 +120,7 @@ class Move(tuple):
         return tuple(self)
 
     def __repr__(self) -> str:
-        kind, i, j, i2, j2 = self
+        kind, i, j, i2, j2 = map(printable, self)
         return f"Move(kind={kind!r}, i={i!r}, j={j!r}, i2={i2!r}, j2={j2!r})"
 
     @classmethod
@@ -279,10 +279,11 @@ def certificate_to_json(cert: Certificate) -> str:
 def certificate_from_obj(obj) -> Certificate:
     """Certificate from a decoded JSON object, validating every field.
 
-    Each move dict is passed to Move as keyword arguments. If that raises
-    TypeError (a missing, unknown or 'cls' key), or a move is not a plain
-    dict, the moves are read again with Move.from_obj, which names the
-    first bad move.
+    When every move is a plain dict and no move has a key outside Move's
+    fields, which one set union tests, each move is built from its fields
+    by position, as Move.from_obj does. Otherwise every move goes through
+    Move.from_obj, which names the first bad move. Either way a move that
+    Move refuses raises the same error.
     """
     if not isinstance(obj, dict):
         raise DomainError(f"certificate must be an object, got {type(obj).__name__}")
@@ -302,15 +303,13 @@ def certificate_from_obj(obj) -> Certificate:
         raise DomainError(
             f"certificate field 'moves' must be a list, got {type(raw_moves).__name__}"
         )
-    # the JSON keys are Move's keyword names; ** would also take a mapping
-    # that is not a dict, which from_obj rejects
-    moves = None
-    if {*map(type, raw_moves)} <= {dict}:
-        try:
-            moves = [Move(**m) for m in raw_moves]
-        except TypeError:  # a missing, unknown or 'cls' key
-            pass
-    if moves is None:
+    # from_obj's own checks, made once for all moves
+    if {*map(type, raw_moves)} <= {dict} and set().union(*raw_moves) <= _FIELDS:
+        moves = [
+            Move(m.get("kind"), m.get("i"), m.get("j"), m.get("i2"), m.get("j2"))
+            for m in raw_moves
+        ]
+    else:
         moves = [Move.from_obj(m) for m in raw_moves]
     return Certificate(eps, moves)
 

@@ -38,12 +38,17 @@ or a missing fourth corner would contradict the counting identities;
 those paths raise AlgorithmInvariantError and are bug signals.
 
 check_certificate shares no logic with the builder. It takes a
-Certificate only (anything else raises DomainError), builds its own grid
-from prefix slices and replays each move by kind: a Point reads one cell,
-a Horizontal or Vertical two and a Square four, compared with the kind's
-pattern in one test and, when they match, overwritten with the flipped
-values. Only a move that fails its pattern walks its positions, in
-moves.rows_mismatch, to name the first mismatch.
+Certificate only (anything else raises DomainError) and holds the
+generated scheme in one flat list of n(n+1)/2 cells, row by row, built
+from prefix slices, with (i, j) at cell[start[i] + j], and its touched
+marks in a bytearray of the same length. Each move works out the indices
+of its cells once, by kind: one for a Point, two for a Horizontal or a
+Vertical, four for a Square. It reads their marks, then sets them, and
+compares the cells with the kind's pattern in one test; when they match,
+it overwrites them with the flipped values. Only a move that fails its
+pattern hands its rows, sliced from the list, to moves.rows_mismatch to
+name the first mismatch, and only a move that meets a mark walks its
+positions to name the first one already touched.
 """
 
 from __future__ import annotations
@@ -261,11 +266,12 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
     Checks that the certificate names the same sign vector, that no two
     moves touch the same position, that every move's sign pattern is
     present when the move is applied in sequence, and that the final
-    scheme is the target. Moves are replayed by kind, reading and
-    flipping their cells directly (see the module docstring). Nothing is
-    raised for a bad certificate, but cert must be a Certificate (anything
-    else raises DomainError), and a dimension mismatch between eps and
-    cert raises DimensionError.
+    scheme is the target. Moves are replayed by kind on one flat list of
+    the scheme's cells, with a bytearray marking the touched ones, each
+    move reading and flipping its cells by index (see the module
+    docstring). Nothing is raised for a bad certificate, but cert must be
+    a Certificate (anything else raises DomainError), and a dimension
+    mismatch between eps and cert raises DimensionError.
     """
     eps = as_sign_vector(eps)
     check_is_certificate(cert)
@@ -277,17 +283,24 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
     if not source_matches:
         failures.append("certificate sign vector differs from the input vector")
 
-    # the generated scheme, grid[i-1][j-i] as in Scheme, from prefix
-    # products: C[i,j] = eps[i]*...*eps[j] = pre[i-1]*pre[j], as pre is +-1,
-    # so row i is a slice of pre or of its negation; each slice is a new
-    # list, so flipping a cell of one row leaves every other row alone
+    # the generated scheme's n(n+1)/2 signs, row by row, with (i, j) at
+    # cell[start[i] + j]; C[i,j] = eps[i]*...*eps[j] = pre[i-1]*pre[j], as
+    # pre is +-1, so row i is a slice of pre or of its negation
     pre = [1]
     for e in eps:
         pre.append(pre[-1] * e)
     neg = [-p for p in pre]
-    grid = [(pre if p == 1 else neg)[i:] for i, p in enumerate(pre[:-1], 1)]
-    m = n + 1  # position (i, j) is keyed i*m + j in seen
-    seen: set[int] = set()
+    cell: list[int] = []
+    start = [0]  # rows count from 1
+    for i, p in enumerate(pre[:-1], 1):
+        start.append(len(cell) - i)
+        cell += (pre if p == 1 else neg)[i:]
+    touched = bytearray(len(cell))  # 1 where an earlier move touched the cell
+
+    def first_touched(move):
+        # the first of the move's positions that an earlier move touched
+        return next(p for p in move.touched_positions() if touched[start[p[0]] + p[1]])
+
     disjoint = True
     preconditions_ok = True
     for idx, move in enumerate(cert.moves):
@@ -299,47 +312,58 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
             outside = (printable(i), printable(j if j > n else j2))
             failures.append(f"move {idx} {move}: position {outside} outside triangle")
             continue
-        row = grid[i - 1]
-        a = j - i
+        # the cells (i, j), (i, j2), (i2, j), (i2, j2); the marks are read
+        # before they are written
+        a = start[i] + j
+        hit = None
         if kind == POINT:
-            keys = (i * m + j,)
-            ok = row[a] == PLUS
+            if touched[a]:
+                hit = first_touched(move)
+            touched[a] = 1
+            ok = cell[a] == PLUS
             if ok:
-                row[a] = MINUS
+                cell[a] = MINUS
         elif kind == HORIZONTAL:
-            b = j2 - i
-            keys = (i * m + j, i * m + j2)
-            ok = row[a] == PLUS and row[b] == MINUS
+            b = a + j2 - j
+            if touched[a] or touched[b]:
+                hit = first_touched(move)
+            touched[a] = touched[b] = 1
+            ok = cell[a] == PLUS and cell[b] == MINUS
             if ok:
-                row[a] = MINUS
-                row[b] = PLUS
+                cell[a] = MINUS
+                cell[b] = PLUS
         elif kind == VERTICAL:
-            low, c = grid[i2 - 1], j - i2
-            keys = (i * m + j, i2 * m + j)
-            ok = row[a] == MINUS and low[c] == PLUS
+            c = start[i2] + j
+            if touched[a] or touched[c]:
+                hit = first_touched(move)
+            touched[a] = touched[c] = 1
+            ok = cell[a] == MINUS and cell[c] == PLUS
             if ok:
-                row[a] = PLUS
-                low[c] = MINUS
+                cell[a] = PLUS
+                cell[c] = MINUS
         else:
-            low, b, c, d = grid[i2 - 1], j2 - i, j - i2, j2 - i2
-            keys = (i * m + j, i * m + j2, i2 * m + j, i2 * m + j2)
+            b = a + j2 - j
+            c = start[i2] + j
+            d = c + j2 - j
+            if touched[a] or touched[b] or touched[c] or touched[d]:
+                hit = first_touched(move)
+            touched[a] = touched[b] = touched[c] = touched[d] = 1
             ok = (
-                row[a] == MINUS and row[b] == PLUS
-                and low[c] == PLUS and low[d] == MINUS
+                cell[a] == MINUS and cell[b] == PLUS
+                and cell[c] == PLUS and cell[d] == MINUS
             )
             if ok:
-                row[a] = PLUS
-                row[b] = MINUS
-                low[c] = MINUS
-                low[d] = PLUS
-        if not seen.isdisjoint(keys):
+                cell[a] = PLUS
+                cell[b] = MINUS
+                cell[c] = MINUS
+                cell[d] = PLUS
+        if hit is not None:
             disjoint = False
-            pos = next(p for p in move.touched_positions() if p[0] * m + p[1] in seen)
-            failures.append(f"move {idx} {move}: position {pos} already touched")
-        seen.update(keys)
+            failures.append(f"move {idx} {move}: position {hit} already touched")
         if not ok:
             preconditions_ok = False
-            pos, req, found = rows_mismatch(grid, move)
+            rows = {r - 1: cell[start[r] + r : start[r] + n + 1] for r in (i, i2 or i)}
+            pos, req, found = rows_mismatch(rows, move)
             failures.append(
                 f"move {idx} {move}: needs '{sign_char(req)}' at {pos}, "
                 f"found '{sign_char(found)}'"
@@ -350,8 +374,8 @@ def check_certificate(eps, cert: Certificate) -> CheckReport:
     top = [MINUS, PLUS] * (n // 2) + [MINUS] * (n & 1)
     residual = tuple(
         (i, j)
-        for i, row in enumerate(grid, 1)
-        if row != top[: n - i + 1]
+        for i in range(1, n + 1)
+        if (row := cell[start[i] + i : start[i] + n + 1]) != top[: n - i + 1]
         for j, s in enumerate(row, i)
         if s != top[j - i]
     )

@@ -205,7 +205,7 @@ def test_residual_matches_reference_on_foreign_vectors():
     # every certificate replayed from other vectors of its size: failures
     # and residual sets of all shapes
     rng = random.Random(17)
-    for n in (1, 2, 5, 9, 16, 33):
+    for n in (1, 2, 5, 9, 16, 33, 64, 128):
         vectors = [tuple(rng.choice((PLUS, MINUS)) for _ in range(n)) for _ in range(6)]
         for eps in vectors:
             cert = build_certificate(eps)
@@ -232,9 +232,10 @@ def _case(name, eps, moves, *failures):
 # One move of each kind on n = 4 and, per kind, each way the replay can
 # treat it: outside the triangle at j (and at j2), an overlap whose pattern
 # still holds, so the move flips the shared cells back, an overlap that
-# also mismatches, and a first mismatch at each corner of the pattern. A
-# generated scheme has C[i,j]*C[i2,j2] = C[i,j2]*C[i2,j], so Square's last
-# corner is the first mismatch only after an earlier move flipped a cell.
+# also mismatches, an overlap at each later corner alone, and a first
+# mismatch at each corner of the pattern. A generated scheme has
+# C[i,j]*C[i2,j2] = C[i,j2]*C[i2,j], so Square's last corner is the first
+# mismatch only after an earlier move flipped a cell.
 _P, _H = Move.point(2, 3), Move.horizontal(1, 2, 4)
 _V, _S = Move.vertical(1, 3, 3), Move.square(1, 2, 3, 4)
 _ALL_PLUS = (PLUS,) * 4
@@ -321,6 +322,13 @@ _KIND_CASES = (
         "move 1 Vertical(1,3;3): needs '-' at (1, 3), found '+'",
     ),
     _case(
+        "V-overlap-i2-j",
+        _ALL_PLUS,
+        (Move.point(3, 3), _V),
+        "move 1 Vertical(1,3;3): position (3, 3) already touched",
+        "move 1 Vertical(1,3;3): needs '-' at (1, 3), found '+'",
+    ),
+    _case(
         "V-mismatch-i-j",
         _ALL_PLUS,
         (_V,),
@@ -356,6 +364,16 @@ _KIND_CASES = (
         (_S, _S),
         "move 1 Square(1,2;3,4): position (1, 3) already touched",
         "move 1 Square(1,2;3,4): needs '-' at (1, 3), found '+'",
+    ),
+    *(
+        _case(
+            f"S-overlap-{at}",
+            _ALL_PLUS,
+            (Move.point(*pos), _S),
+            f"move 1 Square(1,2;3,4): position {pos} already touched",
+            "move 1 Square(1,2;3,4): needs '-' at (1, 3), found '+'",
+        )
+        for at, pos in (("i-j2", (1, 4)), ("i2-j", (2, 3)), ("i2-j2", (2, 4)))
     ),
     _case(
         "S-mismatch-i-j",
@@ -502,9 +520,10 @@ def _parse_case(name, moves, outcome):
     return pytest.param({"eps": [1, 1], "moves": moves}, outcome, id=name)
 
 
-# certificate_from_obj passes each move dict to Move as keyword arguments
-# and, on a TypeError or a move that is not a plain dict, parses the moves
-# again field by field; either way the first bad move names the error
+# certificate_from_obj checks the keys of all moves at once and builds each
+# move from its fields by position; on an unknown key or a move that is not
+# a plain dict, it parses the moves with Move.from_obj instead; either way
+# the first bad move names the error
 _PARSE_CASES = (
     _parse_case("non-dict", [5], (DomainError, "move must be an object, got int")),
     _parse_case(
@@ -548,6 +567,16 @@ _PARSE_CASES = (
         "missing-j-before-bad-range",
         [{"kind": "P", "i": 1}, dict(_P11, i=2)],
         (DomainError, "move needs fields 'i' and 'j'"),
+    ),
+    _parse_case(
+        "bad-range-before-unknown-field",
+        [dict(_P11, i=2), dict(_P11, extra=0)],
+        (TriangleIndexError, "invalid indices for Point(2;1)"),
+    ),
+    _parse_case(
+        "unknown-field-after-valid",
+        [_P11, {"kind": "P", "i": 1, "j": 2}, dict(_P11, extra=0)],
+        (DomainError, "unknown move fields: ['extra']"),
     ),
 )
 

@@ -5,6 +5,8 @@ str() and repr() refuse an integer over the interpreter's digit limit
 bare ValueError from its own message instead of its typed error.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from signschemes import (
@@ -19,7 +21,9 @@ from signschemes import (
     certificate_from_obj,
     check_certificate,
     discriminant_bound,
+    eval_f_batch,
     eval_q,
+    eval_q_batch,
     generate_scheme,
     grid_max,
     hermite_constant,
@@ -60,6 +64,12 @@ REFUSALS = {
     "sign_char": (lambda: sign_char(HUGE), DomainError),
     "Scheme": (lambda: Scheme(((HUGE,),)), DomainError),
     "eval_q": (lambda: eval_q((HUGE,)), DomainError),
+    "eval_q-exact": (lambda: eval_q((HUGE,), exact=True), DomainError),
+    "eval_q-exact-fraction": (
+        lambda: eval_q((Fraction(HUGE, 3),), exact=True),
+        DomainError,
+    ),
+    "grid_max-fraction-step": (lambda: grid_max(2, -Fraction(HUGE)), DomainError),
 }
 
 
@@ -78,9 +88,26 @@ def test_check_certificate_reports_a_huge_column():
     )
 
 
+def test_move_repr_shows_a_huge_index():
+    assert repr(FAR) == (
+        "Move(kind='P', i=1, j=[16610-bit integer], i2=None, j2=None)"
+    )
+    assert repr(Move.square(1, 2, 3, 4)) == "Move(kind='S', i=1, j=3, i2=2, j2=4)"
+
+
+def test_batches_refuse_an_integer_past_the_float_range():
+    # a cast to float raises OverflowError on an int over about 1024 bits
+    with pytest.raises(DomainError, match=r"outside \[-1, 1\] or not finite"):
+        eval_q_batch([[10**400]])
+    with pytest.raises(DomainError, match=r"outside \[0, 1\] or not finite"):
+        eval_f_batch(generate_scheme((1,)), [[10**400]])
+
+
 def test_printable_leaves_every_other_value_alone():
-    for value in (2**2048 - 1, -(2**2048) + 1, 3, "x", 0.5, None):
+    small = Fraction(2**2048 - 1, 2**2048 - 3)
+    for value in (2**2048 - 1, -(2**2048) + 1, 3, "x", 0.5, None, small):
         assert printable(value) is value
     shown = "[2049-bit integer]"
     assert repr(printable(2**2048)) == str(printable(-(2**2048))) == shown
     assert f"{printable(2**2048)}" == shown
+    assert repr(printable(Fraction(-1, 2**2048))) == f"Fraction(-1, {shown})"
